@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race lint bench serve fmt fuzz-smoke cover
+.PHONY: build test check vet race lint bench bench-smoke serve fmt fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,12 @@ fmt:
 
 bench:
 	$(GO) run ./cmd/spinebench -exp all -divide 100
+
+# bench-smoke runs every workload of the BENCHMARK.json suite at 1/20
+# scale (under 20 s), every answer oracle-checked; the program exits
+# non-zero when any workload is not correct.
+bench-smoke:
+	$(GO) run ./benchmark -smoke
 
 serve:
 	$(GO) run ./cmd/spineserve -synthetic eco -divide 10 -addr :8080

@@ -8,8 +8,8 @@ import (
 )
 
 // The steady-state query hot paths must not allocate: scan scratch and
-// pattern-code buffers come from pools, membership is epoch-stamped
-// (bumping the epoch replaces clearing), Count streams, and
+// pattern-code buffers come from pools, the membership bitset is reset
+// by clearing only the words a query dirtied, Count streams, and
 // FindAllAppend reuses the caller's slice. Pinned to exactly zero
 // allocations per query on both layouts.
 func TestQueryPathsAllocationFree(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	mbits "math/bits"
 	"time"
 
 	"github.com/spine-index/spine/internal/trace"
@@ -88,20 +89,7 @@ func scanManyLimitTracedOnCtx[S store](ctx context.Context, s S, firsts, lens []
 	}
 	endScan := func(st scanStats) {
 		res.Scanned = st.visited
-		if tr != nil {
-			tr.Add(trace.StageBatchScan, time.Since(scanStart), trace.Counters{
-				Nodes: st.visited, Links: st.visited,
-				BlocksSkipped: st.blocksSkipped, BlocksScanned: st.blocksScanned,
-				WorkersUsed: st.workersUsed, ChainsStitched: st.chainsStitched,
-			})
-			if st.raIssued+st.raHits > 0 {
-				// Disk activity is attributed to its own stage with zero
-				// node counts, keeping the NodesChecked partition exact.
-				tr.Add(trace.StageDisk, 0, trace.Counters{
-					ReadaheadIssued: st.raIssued, ReadaheadHits: st.raHits,
-				})
-			}
-		}
+		st.record(tr, trace.StageBatchScan, scanStart)
 	}
 	// owners[node] lists the matches whose target buffer contains node;
 	// done matches stay listed but are skipped, so a capped match stops
@@ -204,42 +192,37 @@ func scanManyLimitTracedOnCtx[S store](ctx context.Context, s S, firsts, lens []
 			return res, nil
 		}
 	}
-	blocks := s.skipBlocks()
-	var st scanStats
-	nextCheck := int64(cancelStride)
-	ra := s.readahead()
-	if ra != nil {
-		iss, hits := ra.Advance(minFirst + 1)
-		st.raIssued += iss
-		st.raHits += hits
+	// sc holds the union of every match's target set: one cache-resident
+	// bit probe (behind the lel test) decides whether the owners map needs
+	// consulting at all, which it does only for true members.
+	sc := getScratch(n)
+	defer putScratch(sc)
+	for i, f := range firsts {
+		if !done[i] {
+			sc.add(f)
+		}
 	}
-	j := minFirst + 1
-	for j <= n {
-		b := blockFor(j)
-		last := blockLastNode(b)
-		if last > n {
-			last = n
+	it := newBlockIter(ctx, s, minFirst+1, n, minFirst, minActiveLen)
+	for {
+		base, mask, ok := it.next(maxMember)
+		if !ok {
+			break
 		}
-		bm := &blocks[b]
-		if bm.maxLEL < minActiveLen || bm.maxLink < minFirst || bm.minLink > maxMember {
-			st.blocksSkipped++
-			j = last + 1
-			continue
-		}
-		st.blocksScanned++
-		st.visited += int64(last - j + 1)
-		for ; j <= last; j++ {
+		for ; mask != 0; mask &= mask - 1 {
+			j := base + int32(mbits.TrailingZeros64(mask))
 			link, lel := s.linkOf(j)
-			ms, ok := owners[link]
-			if !ok {
+			// minActiveLen may have risen since the mask was computed; the
+			// mask is then a superset and this exact test still decides.
+			if lel < minActiveLen || !sc.member(link) {
 				continue
 			}
-			for _, m := range ms {
+			for _, m := range owners[link] {
 				if done[m] || lel < lens[m] || j <= firsts[m] {
 					continue
 				}
 				res.Ends[m] = append(res.Ends[m], j)
 				owners[j] = append(owners[j], m)
+				sc.add(j)
 				if j > maxMember {
 					maxMember = j
 				}
@@ -248,28 +231,20 @@ func scanManyLimitTracedOnCtx[S store](ctx context.Context, s S, firsts, lens []
 					active--
 					if lens[m] <= minActiveLen {
 						recalcMinLen()
+						it.patlen = minActiveLen
 					}
 				}
 			}
 			if active == 0 {
-				st.visited -= int64(last - j)
-				endScan(st)
+				it.stopAt(j)
+				endScan(it.st)
 				return res, nil
 			}
 		}
-		if st.visited+blockSize*st.blocksSkipped >= nextCheck {
-			nextCheck += cancelStride
-			if ra != nil {
-				iss, hits := ra.Advance(j)
-				st.raIssued += iss
-				st.raHits += hits
-			}
-			if err := ctx.Err(); err != nil {
-				endScan(st)
-				return BatchScan{Scanned: res.Scanned}, err
-			}
-		}
 	}
-	endScan(st)
+	endScan(it.st)
+	if it.err != nil {
+		return BatchScan{Scanned: res.Scanned}, it.err
+	}
 	return res, nil
 }

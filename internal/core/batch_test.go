@@ -215,3 +215,56 @@ func bytesRepeat(c byte, n int) []byte {
 	}
 	return out
 }
+
+// TestBatchThresholdRaisedMidBlock covers a capped match finishing
+// inside a block: the shared iterator's candidate mask for that block
+// was computed for the shorter length, so it is only a superset once
+// the threshold rises, and the exact lel tests must still decide. Node
+// 19 is the trap: its longest repeated suffix "cgt" (lel 3) first
+// occurs at node 15, the long match's first occurrence, so it passes
+// the stale mask and its link is a member — but it is no occurrence.
+// Both kernels, both layouts, against the scalar oracle.
+func TestBatchThresholdRaisedMidBlock(t *testing.T) {
+	long := []byte("aaaaaaaaacgt")
+	text := []byte("aaaaaaaaaaaacgt" + "tcgt" + "g" + string(long))
+	idx := Build(text)
+	comp := mustFreeze(t, text, seq.DNA)
+	firsts, lens, _ := batchInputs(t, idx, [][]byte{[]byte("aa"), long})
+	limits := []int{5, 0}
+	ctx := context.Background()
+	if link, lel := idx.linkOf(19); link != firsts[1] || lel != 3 {
+		t.Fatalf("scenario lost: linkOf(19) = (%d, %d), want (%d, 3)", link, lel, firsts[1])
+	}
+
+	prev := SetBlockSkip(false)
+	want, err := idx.ScanManyLimitCtx(ctx, firsts, lens, limits)
+	SetBlockSkip(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The short match hits its limit inside block 0, before the trap.
+	if capped := want.Ends[0][len(want.Ends[0])-1]; !want.Truncated[0] || capped >= 19 || len(want.Ends[1]) != 2 {
+		t.Fatalf("scenario lost: short ends %v, long ends %v", want.Ends[0], want.Ends[1])
+	}
+	runBothKernels(t, func(t *testing.T, k ScanKernel) {
+		var scanned int64
+		for _, lay := range []interface {
+			ScanManyLimitCtx(context.Context, []int32, []int32, []int) (BatchScan, error)
+		}{idx, comp} {
+			got, err := lay.ScanManyLimitCtx(ctx, firsts, lens, limits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m := range want.Ends {
+				if !equalInt32s(got.Ends[m], want.Ends[m]) || got.Truncated[m] != want.Truncated[m] {
+					t.Fatalf("%T match %d: (%v, %v), oracle (%v, %v)", lay, m,
+						got.Ends[m], got.Truncated[m], want.Ends[m], want.Truncated[m])
+				}
+			}
+			if scanned != 0 && got.Scanned != scanned {
+				t.Fatalf("%T: Scanned = %d, other layout %d", lay, got.Scanned, scanned)
+			}
+			scanned = got.Scanned
+		}
+	})
+}

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	mbits "math/bits"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"github.com/spine-index/spine/internal/trace"
 )
 
 // Block-skip occurrence scanning.
@@ -22,9 +26,18 @@ import (
 //     packed compact tries (Takagi et al.) transplanted to the backbone.
 //   - The target buffer only ever grows at the high end (each admitted
 //     node exceeds all current members), so "is link(j) a member" does
-//     not need the paper's sorted-buffer binary probe: an epoch-stamped
-//     direct-index table answers it with one array read and is reused
-//     across queries without clearing.
+//     not need the paper's sorted-buffer binary probe: a one-bit-per-node
+//     set answers it with one read, and at n/8 bytes it stays
+//     cache-resident where the probe is random.
+//   - Inside an admitted block the lel(j) >= |p| test is a property of
+//     the layout's packed labels: store.lelMask answers it for the whole
+//     block as one 64-bit candidate mask, so dense and sparse blocks run
+//     the same TrailingZeros64 loop.
+//
+// Every accelerated scan — collect, count, stream, the batch pass and
+// the partition workers of parallel.go/parbatch.go — walks the backbone
+// through the one blockIter below and differs only in what it does with
+// a candidate.
 //
 // The pre-existing scalar scan (containsSorted over a fresh buffer) is
 // retained verbatim as the in-tree differential oracle; SetBlockSkip
@@ -108,60 +121,78 @@ func SetBlockSkip(on bool) (previous bool) {
 // BlockSkipEnabled reports whether the accelerated scan is selected.
 func BlockSkipEnabled() bool { return !blockSkipOff.Load() }
 
-// scanScratch is the pooled per-query scan state: the epoch-stamped
-// membership table standing in for the paper's sorted target buffer,
-// and a reusable end-node buffer for result staging. Reuse across
-// queries never clears the stamp table — bumping the epoch invalidates
-// every stale entry in O(1).
+// scanScratch is the pooled per-query scan state: the membership bitset
+// standing in for the paper's sorted target buffer (bit x of word x>>6
+// is node x), the words it dirtied, and a reusable end-node buffer for
+// result staging. A pooled scratch is always all-zero: putScratch
+// clears exactly the dirtied words, or the whole set once a query has
+// dirtied more than scratchDirtyBound of them.
 type scanScratch struct {
-	stamp []uint32
-	epoch uint32
+	bits  []uint64
+	dirty []int32
 	ends  []int32
 }
 
+// scratchDirtyBound caps the dirtied-word list; past it the reset is one
+// full clear (a scan that admitted that many members cost far more).
+const scratchDirtyBound = 1024
+
 var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// getScratch returns scratch able to stamp nodes 0..n, with a fresh
-// epoch and an empty ends buffer. Steady state performs no allocation.
+// getScratch returns scratch with an empty membership set over nodes
+// 0..n and an empty ends buffer. Steady state performs no allocation.
 func getScratch(n int32) *scanScratch {
 	sc := scratchPool.Get().(*scanScratch)
-	if cap(sc.stamp) < int(n)+1 {
-		sc.stamp = make([]uint32, int(n)+1)
-		sc.epoch = 0
+	words := int(n)>>6 + 1
+	if cap(sc.bits) < words {
+		sc.bits = make([]uint64, words)
 	}
-	sc.stamp = sc.stamp[:cap(sc.stamp)]
-	sc.epoch++
-	if sc.epoch == 0 {
-		// Epoch wrapped: stale stamps from 2^32 queries ago would alias
-		// the new epoch; clear once and restart.
-		clear(sc.stamp)
-		sc.epoch = 1
-	}
+	sc.bits = sc.bits[:words]
 	sc.ends = sc.ends[:0]
 	return sc
 }
 
-func putScratch(sc *scanScratch) { scratchPool.Put(sc) }
+func putScratch(sc *scanScratch) {
+	if len(sc.dirty) > scratchDirtyBound {
+		clear(sc.bits)
+	} else {
+		for _, w := range sc.dirty {
+			sc.bits[w] = 0
+		}
+	}
+	sc.dirty = sc.dirty[:0]
+	scratchPool.Put(sc)
+}
 
-// member reports whether node x was stamped during this query.
-func (sc *scanScratch) member(x int32) bool { return sc.stamp[x] == sc.epoch }
+// member reports whether node x was added during this query.
+func (sc *scanScratch) member(x int32) bool {
+	return sc.bits[x>>6]>>(uint(x)&63)&1 != 0
+}
 
-// add stamps node x as a member of the current target set.
-func (sc *scanScratch) add(x int32) { sc.stamp[x] = sc.epoch }
+// add makes node x a member of the current target set.
+func (sc *scanScratch) add(x int32) {
+	w := x >> 6
+	if sc.bits[w] == 0 && len(sc.dirty) <= scratchDirtyBound {
+		sc.dirty = append(sc.dirty, w)
+	}
+	sc.bits[w] |= 1 << (uint(x) & 63)
+}
 
 // scanStats is the work accounting of one accelerated scan.
 type scanStats struct {
 	// visited counts backbone nodes actually examined (the accelerated
-	// path's NodesChecked contribution; skipped nodes are free). The
-	// SWAR kernel covers the same nodes in fewer machine ops, so this
-	// metric is kernel-invariant by design — the differential suite
-	// asserts exact equality across kernels.
+	// path's NodesChecked contribution; skipped nodes are free): every
+	// node of an admitted block, whichever of them the candidate mask
+	// then selects. The SWAR kernel covers the same nodes in fewer
+	// machine ops, so this metric is kernel-invariant by design — the
+	// differential suite asserts exact equality across kernels.
 	visited int64
 	// blocksSkipped / blocksScanned count skip-index decisions.
 	blocksSkipped int64
 	blocksScanned int64
-	// words counts 64-bit SWAR comparisons (lane tests and packed-word
-	// admission probes); zero under the scalar kernel.
+	// words counts 64-bit SWAR comparisons: packed-word admission probes
+	// plus the lane words of each admitted block's candidate mask; zero
+	// under the scalar kernel.
 	words int64
 	// raIssued / raHits count readahead windows issued and range-cache
 	// hits when a disk-backed store registered a scan readahead sink;
@@ -175,6 +206,27 @@ type scanStats struct {
 	chainsStitched int64
 }
 
+// record attributes a finished scan to stage of tr (nil tr: no-op).
+// Nodes is exactly what the caller adds to NodesChecked, so the trace's
+// per-stage counters partition the reported total. Disk activity gets
+// its own stage with zero Nodes for the same reason.
+func (st scanStats) record(tr *trace.Trace, stage string, start time.Time) {
+	if tr == nil {
+		return
+	}
+	tr.Add(stage, time.Since(start), trace.Counters{
+		Nodes: st.visited, Links: st.visited,
+		BlocksSkipped: st.blocksSkipped, BlocksScanned: st.blocksScanned,
+		WordsCompared: st.words,
+		WorkersUsed:   st.workersUsed, ChainsStitched: st.chainsStitched,
+	})
+	if st.raIssued+st.raHits > 0 {
+		tr.Add(trace.StageDisk, 0, trace.Counters{
+			ReadaheadIssued: st.raIssued, ReadaheadHits: st.raHits,
+		})
+	}
+}
+
 // admit reports whether block m can contain an occurrence end for a
 // pattern of length patlen whose target members currently span
 // [first, maxMember]. The three rejections are each conservative:
@@ -186,259 +238,173 @@ type scanStats struct {
 //     newest member. No node in the block can link to a pre-block
 //     member, so (inductively, scanning in node order) none can become
 //     a member within the block either.
+//
+// The batch pass reads the same test with patlen the shortest active
+// length and first the earliest first occurrence.
 func (m *blockMeta) admit(patlen, first, maxMember int32) bool {
 	return m.maxLEL >= patlen && m.maxLink >= first && m.minLink <= maxMember
 }
 
-// occScanOn is the block-skip occurrence scan shared by the single-
-// pattern query paths: starting from the first-occurrence end node it
-// appends every further occurrence end to sc.ends in increasing order.
+// blockIter walks the admitted blocks of the backbone range [j, hi] in
+// order: word-parallel block prefilter (SWAR kernel only) → admit →
+// readahead/cancellation checkpoint → candidate mask. It owns the work
+// accounting, so every scan built on it counts alike. The kernel knob is
+// read once, at construction: a scan is all-SWAR or all-scalar even when
+// SetScanKernel flips concurrently.
+type blockIter[S store] struct {
+	s      S
+	ctx    context.Context // nil: no cancellation checkpoints
+	stop   *atomic.Bool    // partition workers: the stitch's halt broadcast
+	ra     ScanReadahead
+	blocks []blockMeta
+	pack   []uint64 // packed block-maxLEL lanes; nil under the scalar kernel
+	first  int32    // admission floor: members are >= first
+	patlen int32    // lel threshold; the batch pass raises it as matches finish
+	j, hi  int32    // next unvisited node, inclusive range end
+	last   int32    // last node of the block next returned
+
+	nextCheck int64
+	st        scanStats
+	err       error // the context's error, once a checkpoint saw it
+}
+
+func newBlockIter[S store](ctx context.Context, s S, lo, hi, first, patlen int32) blockIter[S] {
+	it := blockIter[S]{
+		s: s, ctx: ctx, ra: s.readahead(), blocks: s.skipBlocks(),
+		first: first, patlen: patlen, j: lo, hi: hi, nextCheck: cancelStride,
+	}
+	if !scalarKernel.Load() {
+		it.pack = s.blockLELs()
+	}
+	if it.ra != nil {
+		it.advanceReadahead()
+	}
+	return it
+}
+
+func (it *blockIter[S]) advanceReadahead() {
+	iss, hits := it.ra.Advance(it.j)
+	it.st.raIssued += iss
+	it.st.raHits += hits
+}
+
+// next admits the next block given the newest member so far and returns
+// its candidates: bit k of mask is node base+k, set iff the node passes
+// the layout's lel >= patlen lane test — conservative (the compact
+// layout saturates LELs, the scalar kernel passes every node, and a
+// raised threshold leaves the current mask a superset), so callers
+// re-check the exact LEL from linkOf. ok is false when the range is
+// exhausted, the context ended (it.err) or the stitch called a halt.
+func (it *blockIter[S]) next(maxMember int32) (base int32, mask uint64, ok bool) {
+	if it.st.visited+blockSize*it.st.blocksSkipped >= it.nextCheck {
+		it.nextCheck += cancelStride
+		if it.ra != nil {
+			it.advanceReadahead()
+		}
+		if it.stop != nil && it.stop.Load() {
+			return 0, 0, false
+		}
+		if it.ctx != nil {
+			if it.err = it.ctx.Err(); it.err != nil {
+				return 0, 0, false
+			}
+		}
+	}
+	bHi := blockFor(it.hi)
+	for it.j <= it.hi {
+		b := blockFor(it.j)
+		if it.pack != nil {
+			// Jump over runs of blocks whose saturated maxLEL lane already
+			// fails, 4 blocks per op; admit would reject each of them.
+			nb, w := nextBlockLEL(it.pack, b, bHi, satLEL16(it.patlen))
+			it.st.words += w
+			if nb > b {
+				it.st.blocksSkipped += int64(nb - b)
+				if nb > bHi {
+					break
+				}
+				b = nb
+				it.j = int32(b)<<blockShift + 1
+			}
+		}
+		base, it.last = it.j, blockLastNode(b)
+		if it.last > it.hi {
+			it.last = it.hi
+		}
+		it.j = it.last + 1
+		if !it.blocks[b].admit(it.patlen, it.first, maxMember) {
+			it.st.blocksSkipped++
+			continue
+		}
+		it.st.blocksScanned++
+		it.st.visited += int64(it.last - base + 1)
+		if it.pack == nil {
+			return base, ^uint64(0) >> uint(63-(it.last-base)), true
+		}
+		mask, w := it.s.lelMask(base, it.last, it.patlen)
+		it.st.words += w
+		return base, mask, true
+	}
+	return 0, 0, false
+}
+
+// stopAt ends the scan at candidate j of the current block, uncounting
+// the block's nodes that were never reached.
+func (it *blockIter[S]) stopAt(j int32) { it.st.visited -= int64(it.last - j) }
+
+// occEachOn is the single-pattern occurrence scan under every
+// sequential query path: starting from the first-occurrence end node it
+// hands every further occurrence end to emit in increasing order, and
+// stops when emit returns false — stopped is then that node, else 0.
+// Membership is recorded for every occurrence, since later ones may
+// link to it. A nil ctx disables cancellation checks; a cancelled ctx
+// aborts with the stats accumulated so far. emit is only called, never
+// retained, so steady-state scans allocate nothing.
+func occEachOn[S store](ctx context.Context, s S, sc *scanScratch, first, patlen int32, emit func(j int32) bool) (st scanStats, stopped int32, err error) {
+	it := newBlockIter(ctx, s, first+1, s.textLen(), first, patlen)
+	sc.add(first)
+	maxMember := first
+	for {
+		base, mask, ok := it.next(maxMember)
+		if !ok {
+			return it.st, 0, it.err
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			j := base + int32(mbits.TrailingZeros64(mask))
+			link, lel := s.linkOf(j)
+			if lel >= patlen && sc.member(link) {
+				sc.add(j)
+				maxMember = j
+				if !emit(j) {
+					it.stopAt(j)
+					return it.st, j, nil
+				}
+			}
+		}
+	}
+}
+
+// occScanOn appends every occurrence end beyond first to sc.ends.
 // maxExtra caps len(sc.ends) when >= 0 (the caller's limit minus the
 // first occurrence); truncated reports an early stop with backbone
-// remaining. A nil ctx disables cancellation checks; a cancelled ctx
-// aborts with the stats accumulated so far.
+// remaining.
 func occScanOn[S store](ctx context.Context, s S, sc *scanScratch, first, patlen int32, maxExtra int) (st scanStats, truncated bool, err error) {
-	n := s.textLen()
-	blocks := s.skipBlocks()
-	swar, pack, t16, lastBlock := scanKernelState(s, n, patlen)
-	sc.add(first)
-	maxMember := first
-	nextCheck := int64(cancelStride)
-	ra := s.readahead()
-	if ra != nil {
-		iss, hits := ra.Advance(first + 1)
-		st.raIssued += iss
-		st.raHits += hits
-	}
-	j := first + 1
-	for j <= n {
-		b := blockFor(j)
-		if swar {
-			// Word-parallel admission prefilter: jump over runs of blocks
-			// whose saturated maxLEL lane already fails, 4 blocks per op.
-			nb, w := nextBlockLEL(pack, b, lastBlock, t16)
-			st.words += w
-			if nb > b {
-				st.blocksSkipped += int64(nb - b)
-				if nb > lastBlock {
-					break
-				}
-				b = nb
-				j = int32(b)<<blockShift + 1
-			}
-		}
-		last := blockLastNode(b)
-		if last > n {
-			last = n
-		}
-		if !blocks[b].admit(patlen, first, maxMember) {
-			st.blocksSkipped++
-			j = last + 1
-			continue
-		}
-		st.blocksScanned++
-		st.visited += int64(last - j + 1)
-		for j <= last {
-			if swar {
-				// Lane-parallel lel >= |p| prefilter within the block; the
-				// exact test below re-checks through linkOf.
-				nj, w := s.nextLEL(j, last, patlen)
-				st.words += w
-				j = nj
-				if j > last {
-					break
-				}
-			}
-			link, lel := s.linkOf(j)
-			if lel >= patlen && sc.member(link) {
-				sc.add(j)
-				maxMember = j
-				sc.ends = append(sc.ends, j)
-				if maxExtra >= 0 && len(sc.ends) >= maxExtra {
-					st.visited -= int64(last - j) // nodes not reached
-					return st, j < n, nil
-				}
-			}
-			j++
-		}
-		if (ctx != nil || ra != nil) && st.visited+blockSize*st.blocksSkipped >= nextCheck {
-			nextCheck += cancelStride
-			if ra != nil {
-				iss, hits := ra.Advance(j)
-				st.raIssued += iss
-				st.raHits += hits
-			}
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return st, false, err
-				}
-			}
-		}
-	}
-	return st, false, nil
+	st, stopped, err := occEachOn(ctx, s, sc, first, patlen, func(j int32) bool {
+		sc.ends = append(sc.ends, j)
+		return maxExtra < 0 || len(sc.ends) < maxExtra
+	})
+	return st, stopped != 0 && stopped < s.textLen(), err
 }
 
-// scanKernelState reads the kernel knob once per scan and materializes
-// the SWAR prefilter inputs: the packed block-maxLEL lanes, the
-// saturated threshold, and the last block index. A query is therefore
-// all-SWAR or all-scalar even when SetScanKernel flips concurrently.
-func scanKernelState[S store](s S, n, patlen int32) (swar bool, pack []uint64, t16 uint16, lastBlock int) {
-	if scalarKernel.Load() || n == 0 {
-		return false, nil, 0, 0
-	}
-	return true, s.blockLELs(), satLEL16(patlen), blockFor(n)
-}
-
-// occCountOn is occScanOn without result staging: it counts occurrence
-// ends strictly below endBound (endBound <= 0 means no bound; the first
-// occurrence is NOT counted — callers own that). Membership is stamped
-// for every occurrence regardless of the bound, since later occurrences
-// may link to ends past it.
+// occCountOn counts occurrence ends strictly below endBound (endBound
+// <= 0 means no bound; the first occurrence is NOT counted — callers
+// own that).
 func occCountOn[S store](ctx context.Context, s S, sc *scanScratch, first, patlen, endBound int32) (count int, st scanStats, err error) {
-	n := s.textLen()
-	blocks := s.skipBlocks()
-	swar, pack, t16, lastBlock := scanKernelState(s, n, patlen)
-	sc.add(first)
-	maxMember := first
-	nextCheck := int64(cancelStride)
-	ra := s.readahead()
-	if ra != nil {
-		iss, hits := ra.Advance(first + 1)
-		st.raIssued += iss
-		st.raHits += hits
-	}
-	j := first + 1
-	for j <= n {
-		b := blockFor(j)
-		if swar {
-			nb, w := nextBlockLEL(pack, b, lastBlock, t16)
-			st.words += w
-			if nb > b {
-				st.blocksSkipped += int64(nb - b)
-				if nb > lastBlock {
-					break
-				}
-				b = nb
-				j = int32(b)<<blockShift + 1
-			}
+	st, _, err = occEachOn(ctx, s, sc, first, patlen, func(j int32) bool {
+		if endBound <= 0 || j < endBound {
+			count++
 		}
-		last := blockLastNode(b)
-		if last > n {
-			last = n
-		}
-		if !blocks[b].admit(patlen, first, maxMember) {
-			st.blocksSkipped++
-			j = last + 1
-			continue
-		}
-		st.blocksScanned++
-		st.visited += int64(last - j + 1)
-		for j <= last {
-			if swar {
-				nj, w := s.nextLEL(j, last, patlen)
-				st.words += w
-				j = nj
-				if j > last {
-					break
-				}
-			}
-			link, lel := s.linkOf(j)
-			if lel >= patlen && sc.member(link) {
-				sc.add(j)
-				maxMember = j
-				if endBound <= 0 || j < endBound {
-					count++
-				}
-			}
-			j++
-		}
-		if (ctx != nil || ra != nil) && st.visited+blockSize*st.blocksSkipped >= nextCheck {
-			nextCheck += cancelStride
-			if ra != nil {
-				iss, hits := ra.Advance(j)
-				st.raIssued += iss
-				st.raHits += hits
-			}
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return count, st, err
-				}
-			}
-		}
-	}
-	return count, st, nil
-}
-
-// occStreamOn is the streaming form: fn receives each occurrence start
-// offset beyond the first (in increasing order) and returns false to
-// stop the scan. fn is passed through untouched so steady-state calls
-// allocate nothing.
-func occStreamOn[S store](s S, sc *scanScratch, first, patlen int32, plen int, fn func(start int) bool) scanStats {
-	var st scanStats
-	n := s.textLen()
-	blocks := s.skipBlocks()
-	swar, pack, t16, lastBlock := scanKernelState(s, n, patlen)
-	sc.add(first)
-	maxMember := first
-	nextCheck := int64(cancelStride)
-	ra := s.readahead()
-	if ra != nil {
-		iss, hits := ra.Advance(first + 1)
-		st.raIssued += iss
-		st.raHits += hits
-	}
-	j := first + 1
-	for j <= n {
-		b := blockFor(j)
-		if swar {
-			nb, w := nextBlockLEL(pack, b, lastBlock, t16)
-			st.words += w
-			if nb > b {
-				st.blocksSkipped += int64(nb - b)
-				if nb > lastBlock {
-					break
-				}
-				b = nb
-				j = int32(b)<<blockShift + 1
-			}
-		}
-		last := blockLastNode(b)
-		if last > n {
-			last = n
-		}
-		if !blocks[b].admit(patlen, first, maxMember) {
-			st.blocksSkipped++
-			j = last + 1
-			continue
-		}
-		st.blocksScanned++
-		st.visited += int64(last - j + 1)
-		for j <= last {
-			if swar {
-				nj, w := s.nextLEL(j, last, patlen)
-				st.words += w
-				j = nj
-				if j > last {
-					break
-				}
-			}
-			link, lel := s.linkOf(j)
-			if lel >= patlen && sc.member(link) {
-				sc.add(j)
-				maxMember = j
-				if !fn(int(j) - plen) {
-					st.visited -= int64(last - j)
-					return st
-				}
-			}
-			j++
-		}
-		if ra != nil && st.visited+blockSize*st.blocksSkipped >= nextCheck {
-			nextCheck += cancelStride
-			iss, hits := ra.Advance(j)
-			st.raIssued += iss
-			st.raHits += hits
-		}
-	}
-	return st
+		return true
+	})
+	return count, st, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/spine-index/spine/internal/seq"
@@ -241,4 +242,70 @@ func TestSerializeRoundTripBlocks(t *testing.T) {
 	if got, want := back.FindAll(p), comp.FindAll(p); !equalInts(got, want) {
 		t.Fatalf("round-tripped FindAll = %v, want %v", got, want)
 	}
+}
+
+// TestScratchBitsetReuse pins the pooled membership bitset's invariant —
+// a scratch in the pool is all-zero over its whole capacity — across
+// the cases that could break it: one scratch serving indexes of
+// different sizes, a query that dirties more words than
+// scratchDirtyBound (the full-clear reset), and concurrent queries.
+func TestScratchBitsetReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(1201))
+	big := Build(randDNA(rng, 80_000))
+	small := mustFreeze(t, randDNA(rng, 300), seq.DNA)
+
+	// The scratch itself, whichever one the pool hands back.
+	sc := getScratch(big.textLen())
+	for x := int32(0); x <= big.textLen(); x += 37 { // > scratchDirtyBound words
+		sc.add(x)
+	}
+	if len(sc.dirty) <= scratchDirtyBound {
+		t.Fatalf("dirtied %d words, need more than %d", len(sc.dirty), scratchDirtyBound)
+	}
+	if !sc.member(37) || sc.member(38) {
+		t.Fatal("bitset membership is wrong")
+	}
+	putScratch(sc)
+	for _, n := range []int32{small.textLen(), big.textLen()} {
+		sc = getScratch(n)
+		sc.add(n) // the last node must be addressable
+		putScratch(sc)
+		if len(sc.dirty) != 0 {
+			t.Fatalf("n=%d: dirty list survived the reset", n)
+		}
+		for w, v := range sc.bits[:cap(sc.bits)] {
+			if v != 0 {
+				t.Fatalf("n=%d: word %d of a pooled scratch is %#x", n, w, v)
+			}
+		}
+	}
+
+	// End to end: answers stay those of the scalar oracle whatever the
+	// previous user of the scratch left behind.
+	type query struct {
+		lay  interface{ FindAll(p []byte) []int }
+		pat  []byte
+		want []int
+	}
+	prev := SetBlockSkip(false)
+	var qs []query
+	for _, pat := range [][]byte{[]byte("a"), []byte("acg"), big.text[500:512]} { // "a": ~20k members over every word
+		qs = append(qs, query{big, pat, big.FindAll(pat)}, query{small, pat[:1], small.FindAll(pat[:1])})
+	}
+	SetBlockSkip(prev)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3*len(qs); i++ {
+				q := qs[(g+i)%len(qs)]
+				if got := q.lay.FindAll(q.pat); !equalInts(got, q.want) {
+					t.Errorf("goroutine %d: FindAll(%q) on %T diverges from the oracle (%d vs %d hits)", g, q.pat, q.lay, len(got), len(q.want))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	mbits "math/bits"
 	"sync"
 
 	"github.com/spine-index/spine/internal/seq"
@@ -359,27 +358,25 @@ func (c *CompactIndex) blockLELs() []uint64     { return c.blockLEL }
 func (c *CompactIndex) vertBits() uint          { return c.alpha.Bits() }
 func (c *CompactIndex) vertWord(v int32) uint64 { return c.chars.WordAt(int(v)) }
 
-// nextLEL advances to the first node in [j, last] whose saturated LEL
-// field passes lel >= sat(patlen), four uint16 lanes per compare. The
-// sentinel saturation makes the test conservative (an overflowed LEL
+// lelMask compares four saturated uint16 LEL lanes per word. The
+// sentinel saturation makes the mask conservative (an overflowed LEL
 // always passes); the caller re-checks the exact LEL through linkOf.
-func (c *CompactIndex) nextLEL(j, last, patlen int32) (int32, int64) {
-	t := satLEL16(patlen)
-	var words int64
-	for j+3 <= last {
-		w := loadQuad16(c.lel, int(j))
+func (c *CompactIndex) lelMask(j, last, patlen int32) (mask uint64, words int64) {
+	t, k := satLEL16(patlen), uint(0)
+	for ; j+3 <= last; j, k = j+4, k+4 {
+		m := laneGE16(loadQuad16(c.lel, int(j)), t)
+		// Gather the four lane-top bits (15, 31, 47, 63) into a nibble:
+		// the multiplier's terms land them on bits 45..48 and every
+		// cross term elsewhere.
+		mask |= (((m >> 15) * (1<<45 | 1<<30 | 1<<15 | 1)) >> 45 & 0xF) << k
 		words++
-		if m := laneGE16(w, t); m != 0 {
-			return j + int32(mbits.TrailingZeros64(m)>>4), words
-		}
-		j += 4
 	}
-	for ; j <= last; j++ {
+	for ; j <= last; j, k = j+1, k+1 {
 		if c.lel[j] >= t {
-			return j, words
+			mask |= 1 << k
 		}
 	}
-	return last + 1, words
+	return mask, words
 }
 
 func (c *CompactIndex) linkOf(i int32) (int32, int32) {

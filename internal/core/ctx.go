@@ -93,23 +93,7 @@ func findAllOnCtx[S store](ctx context.Context, s S, p []byte, limit int) (ScanR
 	if tr != nil {
 		scanStart = time.Now()
 	}
-	endScan := func(st scanStats) {
-		if tr != nil {
-			tr.Add(trace.StageOccurrences, time.Since(scanStart), trace.Counters{
-				Nodes: st.visited, Links: st.visited,
-				BlocksSkipped: st.blocksSkipped, BlocksScanned: st.blocksScanned,
-				WordsCompared: st.words,
-				WorkersUsed:   st.workersUsed, ChainsStitched: st.chainsStitched,
-			})
-			if st.raIssued+st.raHits > 0 {
-				// Disk activity gets its own stage with zero Nodes so the
-				// NodesChecked partition across stages stays exact.
-				tr.Add(trace.StageDisk, 0, trace.Counters{
-					ReadaheadIssued: st.raIssued, ReadaheadHits: st.raHits,
-				})
-			}
-		}
-	}
+	endScan := func(st scanStats) { st.record(tr, trace.StageOccurrences, scanStart) }
 	m := int32(len(p))
 	n := s.textLen()
 	if blockSkipOff.Load() {
@@ -239,23 +223,7 @@ func countOnCtx[S store](ctx context.Context, s S, p []byte, maxStart int) (int,
 	if tr != nil {
 		scanStart = time.Now()
 	}
-	endScan := func(st scanStats) {
-		if tr != nil {
-			tr.Add(trace.StageOccurrences, time.Since(scanStart), trace.Counters{
-				Nodes: st.visited, Links: st.visited,
-				BlocksSkipped: st.blocksSkipped, BlocksScanned: st.blocksScanned,
-				WordsCompared: st.words,
-				WorkersUsed:   st.workersUsed, ChainsStitched: st.chainsStitched,
-			})
-			if st.raIssued+st.raHits > 0 {
-				// Disk activity gets its own stage with zero Nodes so the
-				// NodesChecked partition across stages stays exact.
-				tr.Add(trace.StageDisk, 0, trace.Counters{
-					ReadaheadIssued: st.raIssued, ReadaheadHits: st.raHits,
-				})
-			}
-		}
-	}
+	endScan := func(st scanStats) { st.record(tr, trace.StageOccurrences, scanStart) }
 	m := int32(len(p))
 	if blockSkipOff.Load() {
 		buf := []int32{first}

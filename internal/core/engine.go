@@ -36,13 +36,14 @@ type store interface {
 	// starting at node v in seq's canonical lane order (char v+k at bits
 	// [k*vertBits(), (k+1)*vertBits())), zero-filled past the text end.
 	vertWord(v int32) uint64
-	// nextLEL returns the smallest node in [j, last] passing a
-	// conservative word-parallel lel >= patlen test (last+1 if none)
-	// plus the word compares spent. Conservative means false positives
-	// are possible (the compact layout saturates LELs at the uint16
-	// sentinel) but false negatives are not; callers re-check the exact
-	// LEL via linkOf.
-	nextLEL(j, last, patlen int32) (int32, int64)
+	// lelMask answers the lel >= patlen test for the whole node run
+	// [j, last] (at most blockSize nodes) at once: bit k of mask is set
+	// iff node j+k passes a word-parallel compare over the layout's
+	// packed LEL lanes; words is the lane words compared. The test is
+	// conservative — false positives are possible (the compact layout
+	// saturates LELs at the uint16 sentinel) but false negatives are
+	// not; callers re-check the exact LEL via linkOf.
+	lelMask(j, last, patlen int32) (mask uint64, words int64)
 	// readahead returns the scan readahead sink for disk-backed
 	// layouts, or nil when the store is memory-resident. The scan
 	// loops consult it once per entry; a nil sink costs nothing.
@@ -297,7 +298,7 @@ func forEachOccurrenceOn[S store](s S, p []byte, fn func(start int) bool) {
 		return
 	}
 	sc := getScratch(s.textLen())
-	occStreamOn(s, sc, first, patlen, len(p), fn)
+	occEachOn(nil, s, sc, first, patlen, func(j int32) bool { return fn(int(j) - len(p)) })
 	putScratch(sc)
 }
 

@@ -26,7 +26,8 @@ import (
 //     words of text against the pattern packed once per query.
 //   - Occurrence scan: inside an admitted block, the lel(j) >= |p| test
 //     runs over 4 packed uint16 lanes (compact layout) or 2 int32 lanes
-//     (reference layout) per op, jumping straight to the next candidate.
+//     (reference layout) per op and is answered for the whole block at
+//     once as a 64-bit candidate mask (store.lelMask).
 //   - Block-skip admission: per-block maxLEL summaries are additionally
 //     kept as saturated uint16 lanes, so runs of inadmissible blocks
 //     (256 backbone nodes per word) are rejected with one compare.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -258,40 +259,58 @@ func TestVertWordMatchesCharAt(t *testing.T) {
 	}
 }
 
-// TestNextLELMatchesScalar pins both layouts' lane-parallel LEL
-// prefilter against a scalar walk, at every start offset so each lane
-// alignment is exercised, with thresholds at the saturation boundary.
-func TestNextLELMatchesScalar(t *testing.T) {
+// TestLELMaskMatchesScalar pins both layouts' candidate masks against a
+// per-node linkOf walk: every block, every start offset within it (so
+// each lane alignment and tail length is exercised), texts whose last
+// block is partial or shorter than one lane word, and thresholds on
+// both sides of the uint16 saturation boundary over a text whose LELs
+// overflow it. The mask may only exceed the exact answer where the
+// layout saturates: on the compact layout, at a sentinel lane.
+func TestLELMaskMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(408))
-	text := randomRepetitive(rng, []byte("acgt"), 700)
-	idx := Build(text)
-	comp := mustFreeze(t, text, seq.DNA)
-	n := int32(len(text))
-	for _, patlen := range []int32{1, 2, 3, 5, 9, 17, 70_000} {
-		for j := int32(1); j <= n; j++ {
-			last := j + int32(rng.Intn(int(n-j)+1))
-			wantIdx := last + 1
-			for s := j; s <= last; s++ {
-				if idx.lel[s] >= patlen {
-					wantIdx = s
-					break
+	texts := [][]byte{
+		[]byte("a"), []byte("ac"), []byte("aca"), // n < 4
+		randomRepetitive(rng, []byte("acgt"), 64),  // exactly one block
+		randomRepetitive(rng, []byte("acgt"), 700), // partial last block
+		[]byte(strings.Repeat("a", 70_000)),        // LELs past 0xFFFF
+	}
+	for _, text := range texts {
+		idx := Build(text)
+		comp := mustFreeze(t, text, seq.DNA)
+		n := int32(len(text))
+		if n == 70_000 && len(comp.lelOverflow) == 0 {
+			t.Fatal("overflow text produced no saturated LEL")
+		}
+		for _, patlen := range []int32{1, 2, 3, 5, 9, 17, 0xFFFE, 0xFFFF, 0x10000, 69_000} {
+			for b := 0; b <= blockFor(n); b++ {
+				last := blockLastNode(b)
+				if last > n {
+					last = n
 				}
-			}
-			if got, _ := idx.nextLEL(j, last, patlen); got != wantIdx {
-				t.Fatalf("reference nextLEL(%d, %d, %d) = %d, want %d", j, last, patlen, got, wantIdx)
-			}
-			// The compact walk tests the saturated field (conservative
-			// superset); mirror that in the scalar reference.
-			t16 := satLEL16(patlen)
-			wantComp := last + 1
-			for s := j; s <= last; s++ {
-				if comp.lel[s] >= t16 {
-					wantComp = s
-					break
+				for j := last - blockSize + 1; j <= last; j++ {
+					if j < 1 {
+						continue
+					}
+					var exact, sat uint64
+					for s := j; s <= last; s++ {
+						if _, lel := idx.linkOf(s); lel >= patlen {
+							exact |= 1 << uint(s-j)
+						}
+						if comp.lel[s] == labelSentinel {
+							sat |= 1 << uint(s-j)
+						}
+					}
+					if got, _ := idx.lelMask(j, last, patlen); got != exact {
+						t.Fatalf("n=%d reference lelMask(%d, %d, %d) = %#x, want %#x", n, j, last, patlen, got, exact)
+					}
+					got, words := comp.lelMask(j, last, patlen)
+					if got&exact != exact || got&^exact&^sat != 0 {
+						t.Fatalf("n=%d compact lelMask(%d, %d, %d) = %#x, exact %#x, saturated %#x", n, j, last, patlen, got, exact, sat)
+					}
+					if want := int64(last-j+1) / 4; words != want {
+						t.Fatalf("n=%d compact lelMask(%d, %d) compared %d words, want %d", n, j, last, words, want)
+					}
 				}
-			}
-			if got, _ := comp.nextLEL(j, last, patlen); got != wantComp {
-				t.Fatalf("compact nextLEL(%d, %d, %d) = %d, want %d", j, last, patlen, got, wantComp)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	mbits "math/bits"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -272,18 +273,19 @@ type parPartState struct {
 	err error
 }
 
-// parPartScanOn scans one partition with the block-skip/SWAR kernels,
+// parPartScanOn scans one partition through the shared block iterator,
 // classifying candidates and streaming chainEntry chunks to out in
 // backbone order. stop is the stitch's cancellation broadcast: once
 // the limit is satisfied by stitched prefixes (or the query dies),
 // later partitions abandon their remainder — their queued entries are
 // never read. Partial stats still count; they are machine work
 // actually done.
-func parPartScanOn[S store](ctx context.Context, s S, ps *partScratch, part scanPart, first, patlen int32, out chan<- []chainEntry, stop *atomic.Bool, stopCh <-chan struct{}) (st scanStats, err error) {
-	n := s.textLen()
-	blocks := s.skipBlocks()
-	swar, pack, t16, _ := scanKernelState(s, n, patlen)
-	bHi := blockFor(part.hi)
+func parPartScanOn[S store](ctx context.Context, s S, ps *partScratch, part scanPart, first, patlen int32, out chan<- []chainEntry, stop *atomic.Bool, stopCh <-chan struct{}) (scanStats, error) {
+	// Per-worker readahead frontier: each partition streams its own
+	// window of the on-disk LEL/link rows; the pager's range cache
+	// deduplicates overlap between neighbors.
+	it := newBlockIter(ctx, s, part.lo, part.hi, first, patlen)
+	it.stop = stop
 	// Seeding maxActive at lo-1 makes the admission test conservative:
 	// any node before the partition may turn out to be a member, so a
 	// block is only rejected when even that assumption cannot admit it.
@@ -302,100 +304,48 @@ func parPartScanOn[S store](ctx context.Context, s S, ps *partScratch, part scan
 			return false
 		}
 	}
-	nextCheck := int64(cancelStride)
-	ra := s.readahead()
-	if ra != nil {
-		// Per-worker readahead frontier: each partition streams its own
-		// window of the on-disk LEL/link rows; the pager's range cache
-		// deduplicates overlap between neighbors.
-		iss, hits := ra.Advance(part.lo)
-		st.raIssued += iss
-		st.raHits += hits
-	}
-	j := part.lo
-	for j <= part.hi {
-		b := blockFor(j)
-		if swar {
-			nb, w := nextBlockLEL(pack, b, bHi, t16)
-			st.words += w
-			if nb > b {
-				st.blocksSkipped += int64(nb - b)
-				if nb > bHi {
-					break
-				}
-				b = nb
-				j = int32(b)<<blockShift + 1
-			}
+	for {
+		base, mask, ok := it.next(maxActive)
+		if !ok {
+			break
 		}
-		last := blockLastNode(b)
-		if last > part.hi {
-			last = part.hi
-		}
-		if !blocks[b].admit(patlen, first, maxActive) {
-			st.blocksSkipped++
-			j = last + 1
-			continue
-		}
-		st.blocksScanned++
-		st.visited += int64(last - j + 1)
-		for j <= last {
-			if swar {
-				nj, w := s.nextLEL(j, last, patlen)
-				st.words += w
-				j = nj
-				if j > last {
-					break
-				}
-			}
+		for ; mask != 0; mask &= mask - 1 {
+			j := base + int32(mbits.TrailingZeros64(mask))
 			link, lel := s.linkOf(j)
-			if lel >= patlen {
-				root, active := int32(-1), false
-				switch {
-				case link == first:
-					// Chain roots directly in the seed member.
-					root, active = rootLocal, true
-				case link >= part.lo:
-					// In-partition link: the target was visited earlier in
-					// this very partition (or provably rejected), so its
-					// classification is already known.
-					root, active = ps.rootOf(link)
-				case link > first:
-					// Chain leaves the partition: j is an occurrence iff
-					// the root is stitched into the member set.
-					root, active = link, true
+			if lel < patlen {
+				continue
+			}
+			root, active := int32(-1), false
+			switch {
+			case link == first:
+				// Chain roots directly in the seed member.
+				root, active = rootLocal, true
+			case link >= part.lo:
+				// In-partition link: the target was visited earlier in
+				// this very partition (or provably rejected), so its
+				// classification is already known.
+				root, active = ps.rootOf(link)
+			case link > first:
+				// Chain leaves the partition: j is an occurrence iff
+				// the root is stitched into the member set.
+				root, active = link, true
+			}
+			// Remaining case, link < first: provably a nonmember —
+			// members are always >= first.
+			if active {
+				ps.set(j, root)
+				maxActive = j
+				chunk = append(chunk, chainEntry{j: j, root: root})
+				if len(chunk) == scanChunkLen && !flush() {
+					return it.st, nil
 				}
-				// Remaining case, link < first: provably a nonmember —
-				// members are always >= first.
-				if active {
-					ps.set(j, root)
-					maxActive = j
-					chunk = append(chunk, chainEntry{j: j, root: root})
-					if len(chunk) == scanChunkLen && !flush() {
-						return st, nil
-					}
-				}
-			}
-			j++
-		}
-		if st.visited+blockSize*st.blocksSkipped >= nextCheck {
-			nextCheck += cancelStride
-			if ra != nil {
-				iss, hits := ra.Advance(j)
-				st.raIssued += iss
-				st.raHits += hits
-			}
-			if stop.Load() {
-				return st, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return st, err
 			}
 		}
 	}
-	if !flush() {
-		return st, nil
+	if it.err == nil {
+		flush()
 	}
-	return st, nil
+	return it.st, it.err
 }
 
 // parOccScanOn is the partitioned form of occScanOn: identical

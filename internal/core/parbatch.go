@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	mbits "math/bits"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -91,12 +92,11 @@ func (bp *batchPartScratch) pendOf(x int32) (root, lel int32, ok bool) {
 	return int32(uint32(v)), bp.pendLEL[i], true
 }
 
-// parBatchPartScanOn scans one partition for the batch: the sequential
-// batch admission and classification (no SWAR prefilters, mirroring the
-// sequential batch pass so the replayed Scanned counter is exact),
-// streaming batchEntry chunks in backbone order.
-func parBatchPartScanOn[S store](ctx context.Context, s S, bp *batchPartScratch, part scanPart, firsts, lens []int32, predone []bool, minFirst, maxFirst, minActiveLen int32, out chan<- []batchEntry, stop *atomic.Bool, stopCh <-chan struct{}) (st scanStats, err error) {
-	blocks := s.skipBlocks()
+// parBatchPartScanOn scans one partition for the batch through the
+// shared block iterator (admission inputs are the batch's scan
+// constants, so the replayed Scanned counter is exact), streaming
+// batchEntry chunks in backbone order.
+func parBatchPartScanOn[S store](ctx context.Context, s S, bp *batchPartScratch, part scanPart, firsts, lens []int32, predone []bool, minFirst, maxFirst, minActiveLen int32, out chan<- []batchEntry, stop *atomic.Bool, stopCh <-chan struct{}) (scanStats, error) {
 	// owners[node] lists matches whose target set locally contains node,
 	// seeded with every active first — including firsts inside or after
 	// this partition, which the j > firsts[m] guard neutralizes.
@@ -125,87 +125,59 @@ func parBatchPartScanOn[S store](ctx context.Context, s S, bp *batchPartScratch,
 			return false
 		}
 	}
-	nextCheck := int64(cancelStride)
-	ra := s.readahead()
-	if ra != nil {
-		iss, hits := ra.Advance(part.lo)
-		st.raIssued += iss
-		st.raHits += hits
-	}
-	j := part.lo
-	for j <= part.hi {
-		b := blockFor(j)
-		last := blockLastNode(b)
-		if last > part.hi {
-			last = part.hi
+	it := newBlockIter(ctx, s, part.lo, part.hi, minFirst, minActiveLen)
+	it.stop = stop
+	for {
+		base, mask, ok := it.next(maxActive)
+		if !ok {
+			break
 		}
-		bm := &blocks[b]
-		if bm.maxLEL < minActiveLen || bm.maxLink < minFirst || bm.minLink > maxActive {
-			st.blocksSkipped++
-			j = last + 1
-			continue
-		}
-		st.blocksScanned++
-		st.visited += int64(last - j + 1)
-		for ; j <= last; j++ {
+		for ; mask != 0; mask &= mask - 1 {
+			j := base + int32(mbits.TrailingZeros64(mask))
 			link, lel := s.linkOf(j)
+			// Every classification below needs lel >= some active length.
+			if lel < minActiveLen {
+				continue
+			}
 			emitted := false
-			if ms, ok := owners[link]; ok {
-				for _, m := range ms {
-					if lel >= lens[m] && j > firsts[m] {
-						owners[j] = append(owners[j], m)
-						chunk = append(chunk, batchEntry{j: j, m: m})
-						emitted = true
-					}
+			for _, m := range owners[link] {
+				if lel >= lens[m] && j > firsts[m] {
+					owners[j] = append(owners[j], m)
+					chunk = append(chunk, batchEntry{j: j, m: m})
+					emitted = true
 				}
 			}
 			// Pending chain tracking is independent of local membership: a
 			// link target can be a local member of one match and, unseen by
 			// this worker, a member of others — so a cross-partition link
 			// always also emits a pending entry; the stitch deduplicates.
-			if lel >= minActiveLen {
-				if link < part.lo {
-					if link > minFirst {
-						bp.setPend(j, link, lel)
-						chunk = append(chunk, batchEntry{j: j, m: -1, root: link, lel: lel})
-						emitted = true
-					}
-				} else if root, plel, ok := bp.pendOf(link); ok {
-					eff := lel
-					if plel < eff {
-						eff = plel
-					}
-					bp.setPend(j, root, eff)
-					chunk = append(chunk, batchEntry{j: j, m: -1, root: root, lel: eff})
+			if link < part.lo {
+				if link > minFirst {
+					bp.setPend(j, link, lel)
+					chunk = append(chunk, batchEntry{j: j, m: -1, root: link, lel: lel})
 					emitted = true
 				}
+			} else if root, plel, ok := bp.pendOf(link); ok {
+				eff := lel
+				if plel < eff {
+					eff = plel
+				}
+				bp.setPend(j, root, eff)
+				chunk = append(chunk, batchEntry{j: j, m: -1, root: root, lel: eff})
+				emitted = true
 			}
 			if emitted {
 				maxActive = j
 				if len(chunk) >= scanChunkLen && !flush() {
-					return st, nil
+					return it.st, nil
 				}
 			}
 		}
-		if st.visited+blockSize*st.blocksSkipped >= nextCheck {
-			nextCheck += cancelStride
-			if ra != nil {
-				iss, hits := ra.Advance(j)
-				st.raIssued += iss
-				st.raHits += hits
-			}
-			if stop.Load() {
-				return st, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return st, err
-			}
-		}
 	}
-	if !flush() {
-		return st, nil
+	if it.err == nil {
+		flush()
 	}
-	return st, nil
+	return it.st, it.err
 }
 
 // parScanManyOn runs the unlimited batch scan over parts partitions,
@@ -291,6 +263,7 @@ func parScanManyOn[S store](ctx context.Context, s S, firsts, lens []int32, pred
 	st.workersUsed = int64(len(parts))
 	st.chainsStitched = chains
 	for k := range states {
+		st.words += states[k].st.words
 		st.raIssued += states[k].st.raIssued
 		st.raHits += states[k].st.raHits
 	}

@@ -22,6 +22,10 @@ func FuzzScanEquivalence(f *testing.F) {
 	f.Add(repeatStr("acca", 33), []byte("cca"), uint8(63), uint8(1))     // 132 chars: boundary straddle
 	f.Add(repeatStr("a", 65), []byte("aaa"), uint8(64), uint8(4))        // runs cross the block edge
 	f.Add(repeatStr("gattaca", 40), repeatStr("gattaca", 10), uint8(2), uint8(0))
+	// 128 chars, two exact blocks: occurrences end on node 64 and node
+	// 128 (bit 63 of a candidate mask) resp. node 65 (bit 0).
+	f.Add(repeatStr("acgtacgg", 16), []byte("acgg"), uint8(0), uint8(2))
+	f.Add(repeatStr("acgtacgg", 16), []byte("gga"), uint8(0), uint8(3))
 	f.Fuzz(func(t *testing.T, rawText, rawPat []byte, extraRaw, limRaw uint8) {
 		if len(rawText) > 4096 || len(rawPat) > 160 {
 			return

@@ -1,7 +1,5 @@
 package core
 
-import mbits "math/bits"
-
 // Index implements store over the reference layout.
 
 func (idx *Index) textLen() int32                      { return int32(len(idx.text)) }
@@ -36,24 +34,20 @@ func (idx *Index) vertWord(v int32) uint64 {
 	return w
 }
 
-// nextLEL advances to the first node in [j, last] with lel >= patlen,
-// two int32 lanes per compare. The int32 LELs are exact (no sentinel
-// saturation), so the test itself is exact here; the caller re-checks
-// through linkOf regardless.
-func (idx *Index) nextLEL(j, last, patlen int32) (int32, int64) {
-	var words int64
-	for j+1 <= last {
-		w := loadPair32(idx.lel, int(j))
+// lelMask compares two int32 lanes per word. The int32 LELs are exact
+// (no sentinel saturation), so the mask is exact here; the caller
+// re-checks through linkOf regardless.
+func (idx *Index) lelMask(j, last, patlen int32) (mask uint64, words int64) {
+	t, k := uint32(patlen), uint(0)
+	for ; j < last; j, k = j+2, k+2 {
+		m := laneGE32(loadPair32(idx.lel, int(j)), t)
+		mask |= ((m>>31 | m>>62) & 3) << k
 		words++
-		if m := laneGE32(w, uint32(patlen)); m != 0 {
-			return j + int32(mbits.TrailingZeros64(m)>>5), words
-		}
-		j += 2
 	}
-	if j <= last && idx.lel[j] >= patlen {
-		return j, words
+	if j == last && idx.lel[j] >= patlen {
+		mask |= 1 << k
 	}
-	return last + 1, words
+	return mask, words
 }
 
 // step advances a valid path of length pathlen ending at node v by one

@@ -108,8 +108,10 @@ type Counters struct {
 	BlocksSkipped int64 `json:"blocksSkipped"`
 	BlocksScanned int64 `json:"blocksScanned"`
 	// WordsCompared counts 64-bit SWAR comparisons issued by the
-	// word-parallel scan kernel (packed descent words, lane-parallel LEL
-	// tests, packed block-admission probes). Zero under the scalar
+	// word-parallel scan kernel: packed descent words, packed
+	// block-admission probes, and the lane words per admitted block of
+	// its candidate mask (16 a full compact block, 32 a reference one,
+	// however many candidates it then yields). Zero under the scalar
 	// kernel. Unlike Nodes it is kernel-dependent by design: it measures
 	// machine ops spent, not index work covered.
 	WordsCompared int64 `json:"wordsCompared"`
