@@ -14,17 +14,15 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# lint fails on vet findings, unformatted files (gofmt prints the
-# offenders; the shell guard turns any output into a non-zero exit), or
-# a new exported query method bypassing the unified Query API.
+# lint fails on vet findings or unformatted files (gofmt prints the
+# offenders; the shell guard turns any output into a non-zero exit).
 lint: vet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-	@sh scripts/lint_query_surface.sh
 
 # fuzz-smoke mines the batch-pipeline, cache-equivalence,
-# scan-equivalence, SWAR-kernel, mapped-layout and parallel-scan fuzz
-# targets briefly — enough to shake out fresh regressions without
+# scan-equivalence, SWAR-kernel and mapped-layout fuzz targets
+# briefly — enough to shake out fresh regressions without
 # stalling the gate.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryBatch$$' -fuzztime 10s .
@@ -32,7 +30,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanEquivalence$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSWAREquivalence$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMappedEquivalence$$' -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzParallelScanEquivalence$$' -fuzztime 10s ./internal/core
 
 # cover runs the suite shuffled (ordering bugs surface) with a coverage
 # profile and prints the per-function summary tail.

@@ -36,15 +36,6 @@
 //
 //	spinebench -scan -scan-seq eco -divide 3 -kernel all -scan-out BENCH_scan.json
 //
-// With -pscan it benchmarks the intra-query partitioned backbone scan
-// across a worker ladder: the same low-selectivity FindAll and Count
-// queries at 1, 2, 4 and 8 scan workers, positions cross-checked
-// against the 1-worker sequential oracle every round and NodesChecked
-// verified identical at every rung (the stitch's admission replay).
-// Wall-clock speedup needs real cores; the report records GOMAXPROCS:
-//
-//	spinebench -pscan -pscan-seq cel -divide 1 -pscan-out BENCH_pscan.json
-//
 // With -cache it benchmarks the serving cache layer in-process: a
 // Zipf(s=1.1) hot-pattern stream against the raw sharded index versus
 // the Cached decorator, plus absent-pattern p50 latency with and
@@ -119,14 +110,6 @@ func main() {
 		scanKernel = flag.String("kernel", "all", "scan mode: accelerated arms to measure against the scalar oracle: all, swar or scalar")
 		scanOut    = flag.String("scan-out", "", "scan mode: write the JSON comparison report to this file")
 
-		pscanMode    = flag.Bool("pscan", false, "measure the intra-query partitioned scan across a worker ladder in-process")
-		pscanSeq     = flag.String("pscan-seq", "cel", "pscan mode: suite sequence to index")
-		pscanRounds  = flag.Int("pscan-rounds", 5, "pscan mode: measured rounds per rung")
-		pscanPlen    = flag.Int("pscan-plen", 8, "pscan mode: sampled pattern length (short = low-selectivity, scan-bound queries)")
-		pscanPats    = flag.Int("pscan-pats", 4, "pscan mode: patterns per round")
-		pscanWorkers = flag.String("pscan-workers", "1,2,4,8", "pscan mode: comma-separated worker ladder; must start at 1 (the sequential oracle)")
-		pscanOut     = flag.String("pscan-out", "", "pscan mode: write the JSON comparison report (BENCH_pscan.json) to this file")
-
 		cacheMode = flag.Bool("cache", false, "benchmark the serving cache + negative filter in-process")
 		cacheSeq  = flag.String("cache-seq", "eco", "cache mode: suite sequence to index")
 		cacheN    = flag.Int("cache-n", 20000, "cache mode: Zipf requests per mode")
@@ -162,13 +145,6 @@ func main() {
 	}
 	if *cacheMode {
 		if err := runCacheBench(*cacheSeq, *divide, *cacheN, *cacheZipf, *cacheOut); err != nil {
-			fmt.Fprintln(os.Stderr, "spinebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pscanMode {
-		if err := runPScanBench(*pscanSeq, *divide, *pscanRounds, *pscanPlen, *pscanPats, *pscanWorkers, *pscanOut); err != nil {
 			fmt.Fprintln(os.Stderr, "spinebench:", err)
 			os.Exit(1)
 		}
@@ -369,44 +345,6 @@ func runScanBench(seqName string, divide, rounds int, kernel, outPath string) er
 		Sequence: seqName,
 		Rounds:   rounds,
 		Kernel:   kernel,
-	})
-	if err != nil {
-		return err
-	}
-	table.Fprint(os.Stdout)
-	if outPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runPScanBench measures the intra-query partitioned scan across a
-// worker ladder on an in-process index (positions cross-checked against
-// the 1-worker sequential oracle every round, NodesChecked verified
-// parallelism-invariant) and prints the comparison table; with outPath
-// the JSON report (BENCH_pscan.json format) is written too.
-func runPScanBench(seqName string, divide, rounds, plen, pats int, workersSpec, outPath string) error {
-	var ladder []int
-	for _, part := range strings.Split(workersSpec, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return fmt.Errorf("bad -pscan-workers entry %q", part)
-		}
-		ladder = append(ladder, w)
-	}
-	c := bench.NewCorpus(divide)
-	table, report, err := bench.RunPScanBench(c, bench.PScanBenchConfig{
-		Sequence:   seqName,
-		PatternLen: plen,
-		Patterns:   pats,
-		Rounds:     rounds,
-		Workers:    ladder,
 	})
 	if err != nil {
 		return err

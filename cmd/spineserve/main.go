@@ -72,7 +72,6 @@ import (
 	"time"
 
 	"github.com/spine-index/spine"
-	"github.com/spine-index/spine/internal/core"
 	"github.com/spine-index/spine/internal/obs"
 	"github.com/spine-index/spine/internal/seq"
 	"github.com/spine-index/spine/internal/seqgen"
@@ -94,8 +93,6 @@ func main() {
 
 		cacheBytes = flag.Int64("cache-bytes", 64<<20, "result cache byte budget; 0 disables the cache layer")
 		negFilter  = flag.Bool("neg-filter", true, "build a q-gram negative filter for O(|P|) absent-pattern answers (cache layer only)")
-
-		scanParallel = flag.Int("scan-parallel", 0, "intra-query scan workers: 0 = adaptive (one per core on long scans), 1 = sequential, k = exactly k")
 
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-request index work deadline")
 		maxInFlight  = flag.Int("max-inflight", 64, "max concurrent query requests before shedding 429s; 0 = unlimited")
@@ -119,7 +116,6 @@ func main() {
 		sloLatency      = flag.Duration("slo-latency", 100*time.Millisecond, "latency SLO threshold (also the RED rollup's slow cut)")
 	)
 	flag.Parse()
-	core.SetScanParallelism(*scanParallel)
 
 	logger, err := newLogger(*logFormat)
 	if err != nil {

@@ -161,8 +161,6 @@ func (s *server) observeTrace(tr *trace.Trace, name string, status int, start ti
 		st.WordsCompared.Add(rec.WordsCompared)
 		st.ReadaheadIssued.Add(rec.ReadaheadIssued)
 		st.ReadaheadHits.Add(rec.ReadaheadHits)
-		st.WorkersUsed.Add(rec.WorkersUsed)
-		st.ChainsStitched.Add(rec.ChainsStitched)
 		if rec.Shard >= 0 {
 			sh := s.reg.Shard(rec.Shard)
 			sh.NodesChecked.Add(rec.Nodes)

@@ -1,7 +1,6 @@
 package spine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -105,145 +104,6 @@ func (d *DiskIndex) Find(p []byte) (int, error) { return d.s.Find(p) }
 
 // FindAll returns every occurrence start offset of p, increasing.
 func (d *DiskIndex) FindAll(p []byte) ([]int, error) { return d.s.FindAll(p) }
-
-// Compile-time check: the disk index serves the same unified query
-// surface as the in-memory flavors, so it plugs into servers, caches
-// and benchmark harnesses interchangeably.
-var _ Querier = (*DiskIndex)(nil)
-
-// Query implements Querier; see Index.Query. Unlike the legacy
-// per-method variants (Contains, Find, FindAll), Query honors the
-// context — a cancelled ctx aborts the buffer-pool walk within a few
-// thousand probes — and disk failures surface as the returned error.
-func (d *DiskIndex) Query(ctx context.Context, p []byte, opts QueryOptions) (QueryResult, error) {
-	switch opts.Kind {
-	case KindContains, KindFind:
-		if err := ctx.Err(); err != nil {
-			return QueryResult{Position: -1}, err
-		}
-		res := QueryResult{Position: -1, NodesChecked: int64(len(p))}
-		end, ok, err := d.s.EndNodeCtx(ctx, p)
-		if err != nil {
-			return QueryResult{Position: -1}, err
-		}
-		if ok {
-			res.Found = true
-			res.Position = int(end) - len(p)
-		}
-		return res, nil
-	case KindFindAll:
-		if err := ctx.Err(); err != nil {
-			return QueryResult{Position: -1}, err
-		}
-		if len(p) == 0 {
-			res := emptyPatternResult(d.Len(), opts.Limit)
-			res.normalize()
-			return res, nil
-		}
-		scan, err := d.s.FindAllLimitCtx(ctx, p, opts.Limit)
-		if err != nil {
-			return QueryResult{Position: -1}, err
-		}
-		res := QueryResult{
-			Truncated:    scan.Truncated,
-			NodesChecked: int64(len(p)) + scan.Scanned,
-			Positions:    make([]int, len(scan.Ends)),
-		}
-		for i, e := range scan.Ends {
-			res.Positions[i] = int(e) - len(p)
-		}
-		res.normalize()
-		return res, nil
-	case KindCount:
-		n, _, err := d.s.CountCtx(ctx, p)
-		if err != nil {
-			return QueryResult{Position: -1}, err
-		}
-		return QueryResult{Count: n, Found: n > 0, Position: -1}, nil
-	default:
-		return QueryResult{Position: -1}, fmt.Errorf("%w: %d", ErrBadQueryKind, opts.Kind)
-	}
-}
-
-// QueryBatch implements Querier; see Index.QueryBatch. Descents run
-// sequentially — every node access shares one buffer pool, which is
-// single-threaded by design — but all occurrence sets still resolve in
-// a single backbone pass, which is where batching pays on disk: each
-// node page is read once for the whole batch instead of once per
-// pattern.
-func (d *DiskIndex) QueryBatch(ctx context.Context, patterns [][]byte, opts BatchOptions) ([]QueryResult, error) {
-	limits, err := opts.itemLimits(len(patterns))
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	results := make([]QueryResult, len(patterns))
-	dupOf, uniq := batchDedupe(patterns, limits)
-	work := uniq[:0:0]
-	for _, i := range uniq {
-		if len(patterns[i]) == 0 {
-			results[i] = emptyPatternResult(d.Len(), limits[i])
-			continue
-		}
-		work = append(work, i)
-	}
-	firsts := make([]int32, len(work))
-	found := make([]bool, len(work))
-	for k, i := range work {
-		firsts[k], found[k], err = d.s.EndNodeCtx(ctx, patterns[i])
-		if err != nil {
-			return nil, err
-		}
-	}
-	var (
-		scanFirsts []int32
-		scanLens   []int32
-		scanLimits []int
-		parts      []int
-	)
-	for k, i := range work {
-		results[i].NodesChecked = int64(len(patterns[i]))
-		if !found[k] {
-			continue
-		}
-		parts = append(parts, i)
-		scanFirsts = append(scanFirsts, firsts[k])
-		scanLens = append(scanLens, int32(len(patterns[i])))
-		scanLimits = append(scanLimits, limits[i])
-	}
-	if len(parts) > 0 {
-		scan, err := d.s.ScanManyLimitCtx(ctx, scanFirsts, scanLens, scanLimits)
-		if err != nil {
-			return nil, err
-		}
-		share := scan.Scanned / int64(len(parts))
-		rem := scan.Scanned % int64(len(parts))
-		for k, i := range parts {
-			plen := len(patterns[i])
-			pos := make([]int, len(scan.Ends[k]))
-			for e, end := range scan.Ends[k] {
-				pos[e] = int(end) - plen
-			}
-			results[i].Positions = pos
-			results[i].Truncated = scan.Truncated[k]
-			results[i].NodesChecked += share
-			if int64(k) < rem {
-				results[i].NodesChecked++
-			}
-		}
-	}
-	for _, i := range uniq {
-		results[i].normalize()
-	}
-	for i := range patterns {
-		if dupOf[i] != i {
-			results[i] = results[dupOf[i]]
-		}
-	}
-	return results, nil
-}
 
 // IOStats returns the physical I/O counters.
 func (d *DiskIndex) IOStats() DiskIOStats {

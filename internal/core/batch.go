@@ -171,27 +171,6 @@ func scanManyLimitTracedOnCtx[S store](ctx context.Context, s S, firsts, lens []
 		}
 	}
 	recalcMinLen()
-	// Partitioned parallel pass — unlimited batches only: per-match
-	// limits make block admission depend on the done-set evolution,
-	// entangling partitions; with no limits the admission inputs are
-	// scan constants and the chain-stitch argument applies per match.
-	anyLimit := false
-	for i := range limits {
-		if !done[i] && limits[i] > 0 {
-			anyLimit = true
-			break
-		}
-	}
-	if !anyLimit {
-		if parts := planScanParts(minFirst, n, scanWorkersFor(n-minFirst)); len(parts) > 1 {
-			st, err := parScanManyOn(ctx, s, firsts, lens, done, minFirst, maxMember, minActiveLen, parts, res.Ends)
-			endScan(st)
-			if err != nil {
-				return BatchScan{Scanned: res.Scanned}, err
-			}
-			return res, nil
-		}
-	}
 	// sc holds the union of every match's target set: one cache-resident
 	// bit probe (behind the lel test) decides whether the owners map needs
 	// consulting at all, which it does only for true members.

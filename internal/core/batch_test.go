@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/spine-index/spine/internal/seq"
@@ -256,7 +257,7 @@ func TestBatchThresholdRaisedMidBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			for m := range want.Ends {
-				if !equalInt32s(got.Ends[m], want.Ends[m]) || got.Truncated[m] != want.Truncated[m] {
+				if !slices.Equal(got.Ends[m], want.Ends[m]) || got.Truncated[m] != want.Truncated[m] {
 					t.Fatalf("%T match %d: (%v, %v), oracle (%v, %v)", lay, m,
 						got.Ends[m], got.Truncated[m], want.Ends[m], want.Truncated[m])
 				}

@@ -34,15 +34,14 @@ import (
 //     block as one 64-bit candidate mask, so dense and sparse blocks run
 //     the same TrailingZeros64 loop.
 //
-// Every accelerated scan — collect, count, stream, the batch pass and
-// the partition workers of parallel.go/parbatch.go — walks the backbone
-// through the one blockIter below and differs only in what it does with
-// a candidate.
+// Every accelerated scan — collect, count, stream and the batch pass —
+// walks the backbone through the one blockIter below and differs only
+// in what it does with a candidate.
 //
-// The pre-existing scalar scan (containsSorted over a fresh buffer) is
-// retained verbatim as the in-tree differential oracle; SetBlockSkip
-// routes every public scan through it so tests and benchmarks can
-// compare the two paths on identical inputs.
+// The pre-existing scalar scan (scalarEachOn: containsSorted over a
+// fresh buffer) is retained verbatim as the in-tree differential
+// oracle; SetBlockSkip routes every public scan through it so tests and
+// benchmarks can compare the two paths on identical inputs.
 
 const (
 	// blockShift sets the skip-index granularity: 1<<blockShift backbone
@@ -199,11 +198,6 @@ type scanStats struct {
 	// both stay zero for memory-resident stores.
 	raIssued int64
 	raHits   int64
-	// workersUsed / chainsStitched describe the partitioned parallel
-	// scan: partitions actually spawned (0 on the sequential path) and
-	// cross-partition chain roots resolved by the ordered stitch.
-	workersUsed    int64
-	chainsStitched int64
 }
 
 // record attributes a finished scan to stage of tr (nil tr: no-op).
@@ -218,7 +212,6 @@ func (st scanStats) record(tr *trace.Trace, stage string, start time.Time) {
 		Nodes: st.visited, Links: st.visited,
 		BlocksSkipped: st.blocksSkipped, BlocksScanned: st.blocksScanned,
 		WordsCompared: st.words,
-		WorkersUsed:   st.workersUsed, ChainsStitched: st.chainsStitched,
 	})
 	if st.raIssued+st.raHits > 0 {
 		tr.Add(trace.StageDisk, 0, trace.Counters{
@@ -253,8 +246,7 @@ func (m *blockMeta) admit(patlen, first, maxMember int32) bool {
 // SetScanKernel flips concurrently.
 type blockIter[S store] struct {
 	s      S
-	ctx    context.Context // nil: no cancellation checkpoints
-	stop   *atomic.Bool    // partition workers: the stitch's halt broadcast
+	ctx    context.Context
 	ra     ScanReadahead
 	blocks []blockMeta
 	pack   []uint64 // packed block-maxLEL lanes; nil under the scalar kernel
@@ -294,20 +286,15 @@ func (it *blockIter[S]) advanceReadahead() {
 // layout saturates LELs, the scalar kernel passes every node, and a
 // raised threshold leaves the current mask a superset), so callers
 // re-check the exact LEL from linkOf. ok is false when the range is
-// exhausted, the context ended (it.err) or the stitch called a halt.
+// exhausted or the context ended (it.err).
 func (it *blockIter[S]) next(maxMember int32) (base int32, mask uint64, ok bool) {
 	if it.st.visited+blockSize*it.st.blocksSkipped >= it.nextCheck {
 		it.nextCheck += cancelStride
 		if it.ra != nil {
 			it.advanceReadahead()
 		}
-		if it.stop != nil && it.stop.Load() {
+		if it.err = it.ctx.Err(); it.err != nil {
 			return 0, 0, false
-		}
-		if it.ctx != nil {
-			if it.err = it.ctx.Err(); it.err != nil {
-				return 0, 0, false
-			}
 		}
 	}
 	bHi := blockFor(it.hi)
@@ -352,15 +339,19 @@ func (it *blockIter[S]) next(maxMember int32) (base int32, mask uint64, ok bool)
 // the block's nodes that were never reached.
 func (it *blockIter[S]) stopAt(j int32) { it.st.visited -= int64(it.last - j) }
 
-// occEachOn is the single-pattern occurrence scan under every
-// sequential query path: starting from the first-occurrence end node it
-// hands every further occurrence end to emit in increasing order, and
-// stops when emit returns false — stopped is then that node, else 0.
-// Membership is recorded for every occurrence, since later ones may
-// link to it. A nil ctx disables cancellation checks; a cancelled ctx
-// aborts with the stats accumulated so far. emit is only called, never
-// retained, so steady-state scans allocate nothing.
+// occEachOn is the one single-pattern occurrence scan, under every
+// query verb on every layout: starting from the first-occurrence end
+// node it hands every further occurrence end to emit in increasing
+// order, and stops when emit returns false — stopped is then that node,
+// else 0. Membership is recorded for every occurrence, since later ones
+// may link to it. A cancelled ctx aborts with the stats accumulated so
+// far. emit is only called, never retained, so steady-state scans
+// allocate nothing. Under SetBlockSkip(false) the scalar oracle answers
+// instead, to the same contract.
 func occEachOn[S store](ctx context.Context, s S, sc *scanScratch, first, patlen int32, emit func(j int32) bool) (st scanStats, stopped int32, err error) {
+	if blockSkipOff.Load() {
+		return scalarEachOn(ctx, s, first, patlen, emit)
+	}
 	it := newBlockIter(ctx, s, first+1, s.textLen(), first, patlen)
 	sc.add(first)
 	maxMember := first
@@ -382,29 +373,4 @@ func occEachOn[S store](ctx context.Context, s S, sc *scanScratch, first, patlen
 			}
 		}
 	}
-}
-
-// occScanOn appends every occurrence end beyond first to sc.ends.
-// maxExtra caps len(sc.ends) when >= 0 (the caller's limit minus the
-// first occurrence); truncated reports an early stop with backbone
-// remaining.
-func occScanOn[S store](ctx context.Context, s S, sc *scanScratch, first, patlen int32, maxExtra int) (st scanStats, truncated bool, err error) {
-	st, stopped, err := occEachOn(ctx, s, sc, first, patlen, func(j int32) bool {
-		sc.ends = append(sc.ends, j)
-		return maxExtra < 0 || len(sc.ends) < maxExtra
-	})
-	return st, stopped != 0 && stopped < s.textLen(), err
-}
-
-// occCountOn counts occurrence ends strictly below endBound (endBound
-// <= 0 means no bound; the first occurrence is NOT counted — callers
-// own that).
-func occCountOn[S store](ctx context.Context, s S, sc *scanScratch, first, patlen, endBound int32) (count int, st scanStats, err error) {
-	st, _, err = occEachOn(ctx, s, sc, first, patlen, func(j int32) bool {
-		if endBound <= 0 || j < endBound {
-			count++
-		}
-		return true
-	})
-	return count, st, err
 }

@@ -110,11 +110,15 @@ func TestBlockAdmitConservative(t *testing.T) {
 	idx := Build(text)
 	for _, plen := range []int{2, 5, 17, 63, 64, 65, 150} {
 		p := text[20 : 20+plen]
-		first, ok := endNodeOn(idx, p)
+		first, ok := endNodeOn(idx, p, nil)
 		if !ok {
 			t.Fatalf("|P|=%d: sampled pattern not found", plen)
 		}
-		ends := scanOccurrencesScalarOn(idx, first, int32(plen))
+		ends := []int32{first}
+		scalarEachOn(context.Background(), idx, first, int32(plen), func(j int32) bool {
+			ends = append(ends, j)
+			return true
+		})
 		isEnd := map[int32]bool{}
 		for _, e := range ends {
 			isEnd[e] = true

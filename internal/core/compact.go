@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -514,7 +515,7 @@ func (c *CompactIndex) Contains(p []byte) bool {
 	if !ok {
 		return false
 	}
-	_, ok = endNodeOn(c, codes)
+	_, ok = endNodeOn(c, codes, nil)
 	patBufPool.Put(pb)
 	return ok
 }
@@ -525,7 +526,7 @@ func (c *CompactIndex) Find(p []byte) int {
 	if !ok {
 		return -1
 	}
-	end, ok := endNodeOn(c, codes)
+	end, ok := endNodeOn(c, codes, nil)
 	patBufPool.Put(pb)
 	if !ok {
 		return -1
@@ -545,7 +546,7 @@ func (c *CompactIndex) FindAllAppend(p []byte, dst []int) []int {
 	if !ok {
 		return dst
 	}
-	dst = findAllAppendOn(c, codes, dst)
+	dst, _, _, _ = findAllOn(context.Background(), c, codes, 0, dst)
 	patBufPool.Put(pb)
 	return dst
 }
@@ -557,7 +558,7 @@ func (c *CompactIndex) Count(p []byte) int {
 	if !ok {
 		return 0
 	}
-	n := countOn(c, codes)
+	n, _ := countOn(context.Background(), c, codes, -1)
 	patBufPool.Put(pb)
 	return n
 }

@@ -1,5 +1,11 @@
 package core
 
+import (
+	"context"
+	"math"
+	"time"
+)
+
 // store is the storage abstraction the search engine runs over. Both the
 // reference layout (Index) and the §5 compact layout (CompactIndex)
 // implement it; the engine is instantiated per concrete type so the hot
@@ -52,33 +58,66 @@ type store interface {
 
 // stepOn advances a valid path of length pathlen at node v by character c.
 // See Index.step for semantics.
-func stepOn[S store](s S, v, pathlen int32, c byte) (next int32, ok bool) {
+func stepOn[S store](s S, v, pathlen int32, c byte, acct *descentAcct) (next int32, ok bool) {
 	if v < s.textLen() && s.charAt(v) == c {
 		return v + 1, true
 	}
-	return edgeStepOn(s, v, pathlen, c)
+	return edgeStepOn(s, v, pathlen, c, acct)
 }
 
-// edgeStepOn is the cross-edge arm of stepOn: the vertebra for c is
-// absent (or v is the text end), so the step succeeds only through a
+// descentAcct is the optional accounting sink of a descent: cross-edge
+// hop counts, the time spent off the backbone, and the SWAR kernel's
+// word compares. A nil sink is the untraced path — no clock is read.
+type descentAcct struct {
+	ribHops, extribHops, words int64
+	ribsDur, extribsDur        time.Duration
+}
+
+// edgeStepOn is the cross-edge arm of a descent step: the vertebra for c
+// is absent (or v is the text end), so the step succeeds only through a
 // rib — and, when the rib's threshold is too small, its extrib chain.
-// The SWAR descent shares this arm; only run matching differs.
-func edgeStepOn[S store](s S, v, pathlen int32, c byte) (next int32, ok bool) {
+// Both kernels share this arm; only run matching differs. It is the one
+// place a descent touches acct, so the vertebra runs stay sink-free.
+func edgeStepOn[S store](s S, v, pathlen int32, c byte, acct *descentAcct) (next int32, ok bool) {
+	var t0 time.Time
+	if acct != nil {
+		t0 = time.Now()
+	}
 	r, ok := s.findRib(v, c)
+	if acct != nil {
+		acct.ribsDur += time.Since(t0)
+		acct.ribHops++
+	}
 	if !ok {
 		return 0, false
 	}
 	if pathlen <= r.PT {
 		return r.Dest, true
 	}
+	if acct != nil {
+		t0 = time.Now()
+	}
+	next, hops, ok := extribStepOn(s, v, pathlen, r)
+	if acct != nil {
+		acct.extribsDur += time.Since(t0)
+		acct.extribHops += hops
+	}
+	return next, ok
+}
+
+// extribStepOn walks rib r's extrib chain from node v to the first
+// member of r's family whose threshold covers pathlen; hops counts the
+// extribs examined.
+func extribStepOn[S store](s S, v, pathlen int32, r Rib) (next int32, hops int64, ok bool) {
 	node := r.Dest
 	for {
 		x, ok := s.findExtrib(node)
 		if !ok {
-			return 0, false
+			return 0, hops, false
 		}
+		hops++
 		if x.ParentSrc == v && x.PRT == r.PT && x.PT >= pathlen {
-			return x.Dest, true
+			return x.Dest, hops, true
 		}
 		node = x.Dest
 	}
@@ -87,22 +126,24 @@ func edgeStepOn[S store](s S, v, pathlen int32, c byte) (next int32, ok bool) {
 // endNodeOn locates the unique valid path spelling p, through the
 // active kernel: word-parallel vertebra runs when the SWAR kernel is
 // selected and the store's packed width tiles a word, the scalar
-// character loop otherwise.
-func endNodeOn[S store](s S, p []byte) (end int32, ok bool) {
+// character loop otherwise. acct, when non-nil, receives the descent's
+// accounting; the hop counts are kernel-invariant (edge steps fire at
+// exactly the characters where the scalar walk leaves the backbone).
+func endNodeOn[S store](s S, p []byte, acct *descentAcct) (end int32, ok bool) {
 	if !scalarKernel.Load() {
-		if end, ok, handled := endNodeSWAROn(s, p, nil); handled {
+		if end, ok, handled := endNodeSWAROn(s, p, acct); handled {
 			return end, ok
 		}
 	}
-	return endNodeScalarOn(s, p)
+	return endNodeScalarOn(s, p, acct)
 }
 
 // endNodeScalarOn is the character-at-a-time descent — the paper's §3
 // walk, retained verbatim as the SWAR kernel's differential oracle.
-func endNodeScalarOn[S store](s S, p []byte) (end int32, ok bool) {
+func endNodeScalarOn[S store](s S, p []byte, acct *descentAcct) (end int32, ok bool) {
 	v := int32(0)
 	for i, c := range p {
-		v, ok = stepOn(s, v, int32(i), c)
+		v, ok = stepOn(s, v, int32(i), c, acct)
 		if !ok {
 			return 0, false
 		}
@@ -116,9 +157,8 @@ func endNodeScalarOn[S store](s S, p []byte) (end int32, ok bool) {
 // edgeStepOn only at the run-breaking character. The pattern is packed
 // once into pooled scratch. handled is false when the store's packed
 // width cannot tile a word (e.g. 5-bit protein codes); the caller then
-// takes the scalar path. When words is non-nil it accumulates the
-// word comparisons performed (the traced descent's WordsCompared).
-func endNodeSWAROn[S store](s S, p []byte, words *int64) (end int32, ok, handled bool) {
+// takes the scalar path.
+func endNodeSWAROn[S store](s S, p []byte, acct *descentAcct) (end int32, ok, handled bool) {
 	bits := s.vertBits()
 	if !swarCapable(bits) {
 		return 0, false, false
@@ -127,6 +167,7 @@ func endNodeSWAROn[S store](s S, p []byte, words *int64) (end int32, ok, handled
 	cpw := int32(64 / bits)
 	v, i := int32(0), int32(0)
 	n, m := s.textLen(), int32(len(p))
+	words := int64(0)
 	for i < m {
 		if v < n {
 			run := cpw
@@ -137,9 +178,7 @@ func endNodeSWAROn[S store](s S, p []byte, words *int64) (end int32, ok, handled
 				run = rem
 			}
 			k := matchLanes(s.vertWord(v), sp.wordAt(i), bits)
-			if words != nil {
-				*words++
-			}
+			words++
 			if k > run {
 				k = run
 			}
@@ -152,119 +191,162 @@ func endNodeSWAROn[S store](s S, p []byte, words *int64) (end int32, ok, handled
 			}
 		}
 		// Mismatch (or text exhausted): only a cross edge can extend.
-		next, stepped := edgeStepOn(s, v, i, p[i])
-		if !stepped {
-			putSwarPat(sp)
-			return 0, false, true
+		if v, ok = edgeStepOn(s, v, i, p[i], acct); !ok {
+			break
 		}
-		v = next
 		i++
 	}
 	putSwarPat(sp)
-	return v, true, true
+	if acct != nil {
+		acct.words += words
+	}
+	return v, i == m, true
 }
 
-// scanOccurrencesScalarOn performs the §4 target-node-buffer scan
-// exactly as the paper describes it: every backbone node after the
-// first occurrence is visited and candidate links are probed against
-// the sorted buffer "in binary fashion". This is the in-tree oracle the
-// block-skip scan is differentially tested against (see SetBlockSkip).
-func scanOccurrencesScalarOn[S store](s S, first, patlen int32) []int32 {
+// scalarEachOn is the §4 target-node-buffer scan exactly as the paper
+// describes it: every backbone node after the first occurrence is
+// visited and candidate links are probed against the sorted buffer "in
+// binary fashion". It is the in-tree oracle the block-skip scan is
+// differentially tested against — occEachOn routes here under
+// SetBlockSkip(false) — and honours occEachOn's contract: emit, stopped
+// and err mean the same, ctx is polled every cancelStride nodes, and
+// visited counts the nodes examined.
+func scalarEachOn[S store](ctx context.Context, s S, first, patlen int32, emit func(j int32) bool) (st scanStats, stopped int32, err error) {
 	buf := []int32{first}
 	n := s.textLen()
 	for j := first + 1; j <= n; j++ {
+		if (j-first)%cancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				// The checkpoint fires before node j is examined, so only
+				// j-first-1 nodes were visited.
+				return scanStats{visited: int64(j - first - 1)}, 0, err
+			}
+		}
 		link, lel := s.linkOf(j)
 		if lel >= patlen && containsSorted(buf, link) {
 			buf = append(buf, j) // j > all current entries: stays sorted
+			if !emit(j) {
+				return scanStats{visited: int64(j - first)}, j, nil
+			}
 		}
 	}
-	return buf
+	return scanStats{visited: int64(n - first)}, 0, nil
 }
 
-// scanOccurrencesOn resolves every occurrence end of a match via the
-// block-skip scan (or the scalar oracle when disabled).
+// scanOccurrencesOn resolves every occurrence end of a located match,
+// the first included.
 func scanOccurrencesOn[S store](s S, first, patlen int32) []int32 {
-	if blockSkipOff.Load() {
-		return scanOccurrencesScalarOn(s, first, patlen)
-	}
 	sc := getScratch(s.textLen())
-	occScanOn(nil, s, sc, first, patlen, -1)
+	occEachOn(context.Background(), s, sc, first, patlen, func(j int32) bool {
+		sc.ends = append(sc.ends, j)
+		return true
+	})
 	out := make([]int32, 0, len(sc.ends)+1)
-	out = append(out, first)
-	out = append(out, sc.ends...)
+	out = append(append(out, first), sc.ends...)
 	putScratch(sc)
 	return out
 }
 
-// findAllOn returns all occurrence start offsets of p.
-func findAllOn[S store](s S, p []byte) []int {
-	return findAllAppendOn(s, p, nil)
-}
-
-// findAllAppendOn appends all occurrence start offsets of p to dst and
-// returns the extended slice. With a pre-sized dst the steady state
-// performs no allocation; with dst == nil exactly one exact-size result
-// slice is allocated when p occurs.
-func findAllAppendOn[S store](s S, p []byte, dst []int) []int {
+// findAllOn is FindAll under every name (FindAll, FindAllAppend,
+// FindAllCtx): descend, stage the further occurrence ends in pooled
+// scratch, then append the start offsets to dst — one exact-size
+// allocation when dst is nil, none when dst has room. limit <= 0 means
+// unlimited; truncated reports a stop at the limit with backbone left.
+// nodes is the §4.1 work metric: len(p) for the descent plus the
+// backbone nodes scanned, where scanned means actually visited —
+// skipped blocks contribute none. A cancelled scan returns dst
+// unextended. The plain verbs pass context.Background().
+func findAllOn[S store](ctx context.Context, s S, p []byte, limit int, dst []int) (out []int, truncated bool, nodes int64, err error) {
+	if err := ctx.Err(); err != nil {
+		return dst, false, 0, err
+	}
 	if len(p) == 0 {
-		n := int(s.textLen())
-		if dst == nil {
-			dst = make([]int, 0, n+1)
+		total := int(s.textLen()) + 1
+		if truncated = limit > 0 && total > limit; truncated {
+			total = limit
 		}
-		for i := 0; i <= n; i++ {
+		if dst == nil {
+			dst = make([]int, 0, total)
+		}
+		for i := 0; i < total; i++ {
 			dst = append(dst, i)
 		}
-		return dst
+		return dst, truncated, 0, nil
 	}
-	first, ok := endNodeOn(s, p)
+	first, ok := descendOnCtx(ctx, s, p)
+	nodes = int64(len(p))
 	if !ok {
-		return dst
+		return dst, false, nodes, nil
 	}
-	if blockSkipOff.Load() {
-		ends := scanOccurrencesScalarOn(s, first, int32(len(p)))
+	if limit == 1 {
+		return append(dst, int(first)-len(p)), true, nodes, nil
+	}
+	sc := getScratch(s.textLen())
+	maxExtra := limit - 1 // the first occurrence is not staged; never reached when limit <= 0
+	st, stopped, err := occTracedOn(ctx, s, sc, first, int32(len(p)), func(j int32) bool {
+		sc.ends = append(sc.ends, j)
+		return len(sc.ends) != maxExtra
+	})
+	if err == nil {
 		if dst == nil {
-			dst = make([]int, 0, len(ends))
+			dst = make([]int, 0, len(sc.ends)+1)
 		}
-		for _, e := range ends {
+		dst = append(dst, int(first)-len(p))
+		for _, e := range sc.ends {
 			dst = append(dst, int(e)-len(p))
 		}
-		return dst
-	}
-	sc := getScratch(s.textLen())
-	occScanOn(nil, s, sc, first, int32(len(p)), -1)
-	if dst == nil {
-		dst = make([]int, 0, len(sc.ends)+1)
-	}
-	dst = append(dst, int(first)-len(p))
-	for _, e := range sc.ends {
-		dst = append(dst, int(e)-len(p))
 	}
 	putScratch(sc)
-	return dst
+	return dst, stopped != 0 && stopped < s.textLen(), nodes + st.visited, err
 }
 
-// countOn counts the occurrences of p without materializing them.
-func countOn[S store](s S, p []byte) int {
+// countOn is Count under every name (Count, CountCtx, CountPrefixCtx):
+// it streams the occurrence count of p, keeping only the membership
+// set. Occurrences starting at or past maxStart still join the set
+// (later occurrences may link to them) but are not counted; maxStart < 0
+// counts everything.
+func countOn[S store](ctx context.Context, s S, p []byte, maxStart int) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	if len(p) == 0 {
-		return int(s.textLen()) + 1
+		total := int(s.textLen()) + 1
+		if maxStart >= 0 && total > maxStart {
+			total = maxStart
+		}
+		return total, nil
 	}
-	first, ok := endNodeOn(s, p)
+	first, ok := descendOnCtx(ctx, s, p)
 	if !ok {
-		return 0
+		return 0, nil
 	}
-	if blockSkipOff.Load() {
-		return len(scanOccurrencesScalarOn(s, first, int32(len(p))))
+	// The start-offset bound in end-node space:
+	// start = end - len(p) < maxStart  <=>  end < maxStart + len(p).
+	endBound := math.MaxInt
+	if maxStart >= 0 {
+		endBound = maxStart + len(p)
+	}
+	count := 0
+	if int(first) < endBound {
+		count++
 	}
 	sc := getScratch(s.textLen())
-	extra, _, _ := occCountOn(nil, s, sc, first, int32(len(p)), 0)
+	_, _, err := occTracedOn(ctx, s, sc, first, int32(len(p)), func(j int32) bool {
+		if int(j) < endBound {
+			count++
+		}
+		return true
+	})
 	putScratch(sc)
-	return extra + 1
+	if err != nil {
+		return 0, err
+	}
+	return count, nil
 }
 
 // forEachOccurrenceOn streams every occurrence start offset of p to fn
 // in increasing order, stopping early when fn returns false. fn is
-// passed through to the scan kernel untouched, so the steady state
-// allocates nothing.
+// only called, never retained, so the steady state allocates nothing.
 func forEachOccurrenceOn[S store](s S, p []byte, fn func(start int) bool) {
 	if len(p) == 0 {
 		n := int(s.textLen())
@@ -275,30 +357,12 @@ func forEachOccurrenceOn[S store](s S, p []byte, fn func(start int) bool) {
 		}
 		return
 	}
-	first, ok := endNodeOn(s, p)
-	if !ok {
-		return
-	}
-	if !fn(int(first) - len(p)) {
-		return
-	}
-	patlen := int32(len(p))
-	if blockSkipOff.Load() {
-		buf := []int32{first}
-		n := s.textLen()
-		for j := first + 1; j <= n; j++ {
-			link, lel := s.linkOf(j)
-			if lel >= patlen && containsSorted(buf, link) {
-				buf = append(buf, j)
-				if !fn(int(j) - len(p)) {
-					return
-				}
-			}
-		}
+	first, ok := endNodeOn(s, p, nil)
+	if !ok || !fn(int(first)-len(p)) {
 		return
 	}
 	sc := getScratch(s.textLen())
-	occEachOn(nil, s, sc, first, patlen, func(j int32) bool { return fn(int(j) - len(p)) })
+	occEachOn(context.Background(), s, sc, first, int32(len(p)), func(j int32) bool { return fn(int(j) - len(p)) })
 	putScratch(sc)
 }
 

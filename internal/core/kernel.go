@@ -234,3 +234,14 @@ func nextBlockLEL(pack []uint64, b, lastBlock int, t uint16) (int, int64) {
 	}
 	return lastBlock + 1, words
 }
+
+// SetScanParallelism and ScanParallelism are an inert pair: the
+// intra-query parallel scan they tuned is deleted and every scan runs on
+// one goroutine, so the setter ignores its argument and both report 1.
+// They remain only because benchmark/probes.go — frozen outside
+// benchmark-archetype PRs — still calls them; the next benchmark PR
+// deletes them together with the probes' default/*_seq arm split.
+func SetScanParallelism(int) (previous int) { return 1 }
+
+// ScanParallelism reports 1; see SetScanParallelism.
+func ScanParallelism() int { return 1 }

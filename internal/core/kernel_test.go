@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"sync"
@@ -160,15 +161,15 @@ func TestSWARDescentWordBoundaries(t *testing.T) {
 	check := func(p []byte) {
 		t.Helper()
 		SetScanKernel(KernelScalar)
-		wantIdxEnd, wantIdxOK := endNodeOn(idx, p)
+		wantIdxEnd, wantIdxOK := endNodeOn(idx, p, nil)
 		codes, ok := comp.encodePattern(p)
 		if !ok {
 			t.Fatalf("pattern %q not encodable", p)
 		}
-		wantCompEnd, wantCompOK := endNodeOn(comp, codes)
+		wantCompEnd, wantCompOK := endNodeOn(comp, codes, nil)
 		SetScanKernel(KernelSWAR)
-		gotIdxEnd, gotIdxOK := endNodeOn(idx, p)
-		gotCompEnd, gotCompOK := endNodeOn(comp, codes)
+		gotIdxEnd, gotIdxOK := endNodeOn(idx, p, nil)
+		gotCompEnd, gotCompOK := endNodeOn(comp, codes, nil)
 		if gotIdxOK != wantIdxOK || (gotIdxOK && gotIdxEnd != wantIdxEnd) {
 			t.Fatalf("reference descent %q: swar (%d, %v) != scalar (%d, %v)",
 				p, gotIdxEnd, gotIdxOK, wantIdxEnd, wantIdxOK)
@@ -429,24 +430,24 @@ func TestKernelInvariantWorkAccounting(t *testing.T) {
 		var words int64
 		switch v := s.(type) {
 		case *Index:
-			first, ok := endNodeOn(v, p)
+			first, ok := endNodeOn(v, p, nil)
 			if !ok {
 				return work{}, 0
 			}
 			sc := getScratch(v.textLen())
-			st, _, _ = occScanOn(nil, v, sc, first, int32(len(p)), -1)
+			st, _, _ = occEachOn(context.Background(), v, sc, first, int32(len(p)), func(int32) bool { return true })
 			putScratch(sc)
 		case *CompactIndex:
 			codes, ok := v.encodePattern(p)
 			if !ok {
 				return work{}, 0
 			}
-			first, ok := endNodeOn(v, codes)
+			first, ok := endNodeOn(v, codes, nil)
 			if !ok {
 				return work{}, 0
 			}
 			sc := getScratch(v.textLen())
-			st, _, _ = occScanOn(nil, v, sc, first, int32(len(p)), -1)
+			st, _, _ = occEachOn(context.Background(), v, sc, first, int32(len(p)), func(int32) bool { return true })
 			putScratch(sc)
 		}
 		words = st.words

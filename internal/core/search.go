@@ -1,5 +1,7 @@
 package core
 
+import "context"
+
 // Index implements store over the reference layout.
 
 func (idx *Index) textLen() int32                      { return int32(len(idx.text)) }
@@ -58,7 +60,7 @@ func (idx *Index) lelMask(j, last, patlen int32) (mask uint64, words int64) {
 // exists, which (by the no-false-negative property) means the extended
 // string is not a substring.
 func (idx *Index) step(v, pathlen int32, c byte) (next int32, ok bool) {
-	return stepOn(idx, v, pathlen, c)
+	return stepOn(idx, v, pathlen, c, nil)
 }
 
 // Contains reports whether p is a substring of the indexed text. The empty
@@ -71,7 +73,7 @@ func (idx *Index) Contains(p []byte) bool {
 // EndNode locates the unique valid path spelling p and returns its end
 // node, which is the end position of p's first occurrence. ok is false if
 // p does not occur. The empty pattern ends at the root.
-func (idx *Index) EndNode(p []byte) (end int32, ok bool) { return endNodeOn(idx, p) }
+func (idx *Index) EndNode(p []byte) (end int32, ok bool) { return endNodeOn(idx, p, nil) }
 
 // Find returns the start offset of the first occurrence of p, or -1 if p
 // does not occur. The empty pattern occurs at offset 0.
@@ -91,12 +93,13 @@ func (idx *Index) Find(p []byte) int {
 // search; the remainder come from a single downstream scan of the backbone
 // that repeatedly extends a sorted target node buffer: node j is an
 // occurrence end iff lel(j) >= len(p) and link(j) is already in the buffer.
-func (idx *Index) FindAll(p []byte) []int { return findAllOn(idx, p) }
+func (idx *Index) FindAll(p []byte) []int { return idx.FindAllAppend(p, nil) }
 
 // FindAllAppend is FindAll appending into dst: with a reused dst whose
 // capacity covers the result, the steady-state query allocates nothing.
 func (idx *Index) FindAllAppend(p []byte, dst []int) []int {
-	return findAllAppendOn(idx, p, dst)
+	dst, _, _, _ = findAllOn(context.Background(), idx, p, 0, dst)
+	return dst
 }
 
 // scanOccurrences performs the target-node-buffer scan: given the
@@ -124,7 +127,10 @@ func containsSorted(buf []int32, x int32) bool {
 // Count returns the number of occurrences of p. The count comes from
 // the streaming scan directly — no occurrence slice is materialized —
 // and allocates nothing at steady state.
-func (idx *Index) Count(p []byte) int { return countOn(idx, p) }
+func (idx *Index) Count(p []byte) int {
+	n, _ := countOn(context.Background(), idx, p, -1)
+	return n
+}
 
 // ForEachOccurrence streams every occurrence start offset of p in
 // increasing order to fn, stopping early if fn returns false. It performs

@@ -7,169 +7,47 @@ import (
 	"github.com/spine-index/spine/internal/trace"
 )
 
-// Traced query paths. When the context carries a trace, descents run
-// through descendTracedOn — a counting twin of endNodeOn/stepOn that
-// attributes work to the trace's descend/ribs/extribs stages — and the
-// occurrence scan in findAllOnCtx records an occurrences span. When it
-// does not (the common case), queries take the untouched fast paths;
-// the only added cost is one context lookup per query.
+// Traced query paths. The descent and the occurrence scan each exist
+// once; these two wrappers turn their accounting into spans when the
+// context carries a trace. When it does not, the added cost is one
+// context lookup per query.
 
-// descendOnCtx walks the valid path for p, tracing if ctx asks for it.
-func descendOnCtx[S store](ctx context.Context, s S, p []byte) (end int32, ok bool) {
-	if tr := trace.FromContext(ctx); tr != nil {
-		return descendTracedOn(s, p, tr)
-	}
-	return endNodeOn(s, p)
-}
-
-// descendTracedOn is endNodeOn with per-stage accounting: it records a
+// descendOnCtx walks the valid path for p. Under a trace it records a
 // descend span whose Nodes equals len(p) (the §4.1 convention — one
 // node examined per pattern character, matching ScanResult.NodesChecked)
-// with rib/extrib hop counters, plus ribs/extribs spans isolating the
-// time spent off the backbone. The inner loop mirrors stepOn exactly;
-// clock reads happen only on the rib/extrib paths, which genomic
-// descents take rarely (most steps are vertebra extensions).
-func descendTracedOn[S store](s S, p []byte, tr *trace.Trace) (end int32, ok bool) {
-	if !scalarKernel.Load() {
-		if end, ok, handled := descendTracedSWAROn(s, p, tr); handled {
-			return end, ok
-		}
+// with the rib/extrib hop and word-compare counters, plus ribs/extribs
+// spans isolating the time spent off the backbone.
+func descendOnCtx[S store](ctx context.Context, s S, p []byte) (end int32, ok bool) {
+	tr := trace.FromContext(ctx)
+	if tr == nil {
+		return endNodeOn(s, p, nil)
 	}
+	var acct descentAcct
 	sp := tr.Start(trace.StageDescend)
-	sp.C.Nodes = int64(len(p))
-	var ribsDur, extribsDur time.Duration
-	finish := func(end int32, ok bool) (int32, bool) {
-		sp.End()
-		if sp.C.RibHops > 0 {
-			tr.Add(trace.StageRibs, ribsDur, trace.Counters{RibHops: sp.C.RibHops})
-		}
-		if sp.C.ExtribHops > 0 {
-			tr.Add(trace.StageExtribs, extribsDur, trace.Counters{ExtribHops: sp.C.ExtribHops})
-		}
-		return end, ok
+	end, ok = endNodeOn(s, p, &acct)
+	sp.C = trace.Counters{Nodes: int64(len(p)), RibHops: acct.ribHops, ExtribHops: acct.extribHops, WordsCompared: acct.words}
+	sp.End()
+	if acct.ribHops > 0 {
+		tr.Add(trace.StageRibs, acct.ribsDur, trace.Counters{RibHops: acct.ribHops})
 	}
-	v := int32(0)
-	n := s.textLen()
-	for i, c := range p {
-		if v < n && s.charAt(v) == c {
-			v++ // vertebra extension: the hot case, no clocks
-			continue
-		}
-		t0 := time.Now()
-		r, found := s.findRib(v, c)
-		ribsDur += time.Since(t0)
-		sp.C.RibHops++
-		if !found {
-			return finish(0, false)
-		}
-		pathlen := int32(i)
-		if pathlen <= r.PT {
-			v = r.Dest
-			continue
-		}
-		t0 = time.Now()
-		node := r.Dest
-		for {
-			x, found := s.findExtrib(node)
-			if !found {
-				extribsDur += time.Since(t0)
-				return finish(0, false)
-			}
-			sp.C.ExtribHops++
-			if x.ParentSrc == v && x.PRT == r.PT && x.PT >= pathlen {
-				v = x.Dest
-				break
-			}
-			node = x.Dest
-		}
-		extribsDur += time.Since(t0)
+	if acct.extribHops > 0 {
+		tr.Add(trace.StageExtribs, acct.extribsDur, trace.Counters{ExtribHops: acct.extribHops})
 	}
-	return finish(v, true)
+	return end, ok
 }
 
-// descendTracedSWAROn is the counting twin of endNodeSWAROn: vertebra
-// runs are matched a packed word at a time (each compare recorded in
-// WordsCompared), while the run-breaking cross-edge steps carry the
-// same rib/extrib accounting as the scalar traced descent. Edge steps
-// fire at exactly the characters where the scalar walk leaves the
-// backbone, so Nodes/RibHops/ExtribHops are kernel-invariant; only
-// WordsCompared is kernel-dependent. handled is false when the packed
-// width cannot tile a word (the caller then takes the scalar path).
-func descendTracedSWAROn[S store](s S, p []byte, tr *trace.Trace) (end int32, ok, handled bool) {
-	bits := s.vertBits()
-	if !swarCapable(bits) {
-		return 0, false, false
+// occTracedOn is occEachOn recorded as the occurrences span of ctx's
+// trace. Its Nodes is exactly what the caller adds to NodesChecked, so
+// the per-stage counters partition the reported total.
+func occTracedOn[S store](ctx context.Context, s S, sc *scanScratch, first, patlen int32, emit func(j int32) bool) (scanStats, int32, error) {
+	tr := trace.FromContext(ctx)
+	var start time.Time
+	if tr != nil {
+		start = time.Now()
 	}
-	sp := tr.Start(trace.StageDescend)
-	sp.C.Nodes = int64(len(p))
-	var ribsDur, extribsDur time.Duration
-	finish := func(end int32, ok bool) (int32, bool, bool) {
-		sp.End()
-		if sp.C.RibHops > 0 {
-			tr.Add(trace.StageRibs, ribsDur, trace.Counters{RibHops: sp.C.RibHops})
-		}
-		if sp.C.ExtribHops > 0 {
-			tr.Add(trace.StageExtribs, extribsDur, trace.Counters{ExtribHops: sp.C.ExtribHops})
-		}
-		return end, ok, true
-	}
-	pat := getSwarPat(p, bits)
-	defer putSwarPat(pat)
-	cpw := int32(64 / bits)
-	v, i := int32(0), int32(0)
-	n, m := s.textLen(), int32(len(p))
-	for i < m {
-		if v < n {
-			run := cpw
-			if rem := m - i; rem < run {
-				run = rem
-			}
-			if rem := n - v; rem < run {
-				run = rem
-			}
-			k := matchLanes(s.vertWord(v), pat.wordAt(i), bits)
-			sp.C.WordsCompared++
-			if k > run {
-				k = run
-			}
-			v += k
-			i += k
-			if k == run {
-				continue
-			}
-		}
-		c := p[i]
-		t0 := time.Now()
-		r, found := s.findRib(v, c)
-		ribsDur += time.Since(t0)
-		sp.C.RibHops++
-		if !found {
-			return finish(0, false)
-		}
-		if i <= r.PT {
-			v = r.Dest
-			i++
-			continue
-		}
-		t0 = time.Now()
-		node := r.Dest
-		for {
-			x, found := s.findExtrib(node)
-			if !found {
-				extribsDur += time.Since(t0)
-				return finish(0, false)
-			}
-			sp.C.ExtribHops++
-			if x.ParentSrc == v && x.PRT == r.PT && x.PT >= i {
-				v = x.Dest
-				break
-			}
-			node = x.Dest
-		}
-		extribsDur += time.Since(t0)
-		i++
-	}
-	return finish(v, true)
+	st, stopped, err := occEachOn(ctx, s, sc, first, patlen, emit)
+	st.record(tr, trace.StageOccurrences, start)
+	return st, stopped, err
 }
 
 // EndNodeCtx is EndNode with tracing: when ctx carries a trace the

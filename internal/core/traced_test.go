@@ -20,28 +20,28 @@ func tracedStores(t *testing.T, text []byte) (*Index, *CompactIndex) {
 	return idx, ci
 }
 
-// TestDescendTracedMatchesPlain verifies the counting descent is an
-// exact behavioral twin of endNodeOn on both layouts, across found,
-// absent, and out-of-alphabet patterns.
+// TestDescendTracedMatchesPlain verifies the accounting sink does not
+// change where a descent ends, on both layouts and kernels, across
+// found, absent, and out-of-alphabet patterns.
 func TestDescendTracedMatchesPlain(t *testing.T) {
 	text := []byte("aaccacaacaggtaccaaccacaacagg")
 	idx, ci := tracedStores(t, text)
 	patterns := []string{"", "a", "cc", "acaa", "gg", "ggt", "zz", "accg",
 		"aaccacaacaggtaccaaccacaacagg", "caacagg"}
-	for _, p := range patterns {
-		wantEnd, wantOK := endNodeOn(idx, []byte(p))
-		tr := trace.New()
-		end, ok := descendTracedOn(idx, []byte(p), tr)
-		if end != wantEnd || ok != wantOK {
-			t.Fatalf("descendTracedOn(%q) = (%d,%v), want (%d,%v)", p, end, ok, wantEnd, wantOK)
+	runBothKernels(t, func(t *testing.T, _ ScanKernel) {
+		for _, p := range patterns {
+			wantEnd, wantOK := endNodeOn(idx, []byte(p), nil)
+			ctx := trace.NewContext(context.Background(), trace.New())
+			pEnd, pOK := idx.EndNodeCtx(ctx, []byte(p))
+			if pEnd != wantEnd || pOK != wantOK {
+				t.Fatalf("traced descent of %q = (%d,%v), want (%d,%v)", p, pEnd, pOK, wantEnd, wantOK)
+			}
+			cEnd, cOK := ci.EndNodeCtx(ctx, []byte(p))
+			if cEnd != pEnd || cOK != pOK {
+				t.Fatalf("layouts disagree on %q: compact (%d,%v) vs reference (%d,%v)", p, cEnd, cOK, pEnd, pOK)
+			}
 		}
-		ctx := trace.NewContext(context.Background(), trace.New())
-		cEnd, cOK := ci.EndNodeCtx(ctx, []byte(p))
-		pEnd, pOK := idx.EndNodeCtx(ctx, []byte(p))
-		if cEnd != pEnd || cOK != pOK {
-			t.Fatalf("layouts disagree on %q: compact (%d,%v) vs reference (%d,%v)", p, cEnd, cOK, pEnd, pOK)
-		}
-	}
+	})
 }
 
 // TestTracedFindAllStageSums checks the acceptance property: the Nodes
@@ -114,7 +114,7 @@ func TestTracedRibExtribCounters(t *testing.T) {
 	text := []byte("aaccacaacaggtaccaaccacaacagg")
 	idx := Build(text)
 	tr := trace.New()
-	if _, ok := descendTracedOn(idx, []byte("gg"), tr); !ok {
+	if _, ok := descendOnCtx(trace.NewContext(context.Background(), tr), idx, []byte("gg")); !ok {
 		t.Fatal("gg should be found")
 	}
 	var ribHops int64

@@ -300,14 +300,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		for _, st := range stages {
 			p.Sample("spine_stage_readahead_hits_total", []Label{{"stage", st}}, float64(s.Stages[st].ReadaheadHits))
 		}
-		p.Family("spine_scan_workers_used_total", "counter", "Backbone partitions spawned by the intra-query parallel scan, per query stage.")
-		for _, st := range stages {
-			p.Sample("spine_scan_workers_used_total", []Label{{"stage", st}}, float64(s.Stages[st].WorkersUsed))
-		}
-		p.Family("spine_scan_chains_stitched_total", "counter", "Cross-partition chain roots resolved by the parallel scan's ordered stitch, per query stage.")
-		for _, st := range stages {
-			p.Sample("spine_scan_chains_stitched_total", []Label{{"stage", st}}, float64(s.Stages[st].ChainsStitched))
-		}
 	}
 
 	if len(s.Shards) > 0 {

@@ -134,11 +134,6 @@ type StageStats struct {
 	// serves from a mapped file (the "disk" stage).
 	ReadaheadIssued Counter
 	ReadaheadHits   Counter
-	// WorkersUsed counts backbone partitions spawned by the intra-query
-	// parallel scan; ChainsStitched counts cross-partition chain roots
-	// resolved by its ordered stitch pass. Both zero on sequential scans.
-	WorkersUsed    Counter
-	ChainsStitched Counter
 }
 
 // ShardStats aggregates one shard's share of fan-out queries, making
@@ -403,8 +398,6 @@ type StageSnapshot struct {
 	WordsCompared   int64   `json:"wordsCompared"`
 	ReadaheadIssued int64   `json:"readaheadIssued,omitempty"`
 	ReadaheadHits   int64   `json:"readaheadHits,omitempty"`
-	WorkersUsed     int64   `json:"workersUsed,omitempty"`
-	ChainsStitched  int64   `json:"chainsStitched,omitempty"`
 }
 
 // ShardSnapshot is a point-in-time copy of one shard's metrics.
@@ -526,8 +519,6 @@ func (r *Registry) Snapshot() Snapshot {
 				WordsCompared:   st.WordsCompared.Value(),
 				ReadaheadIssued: st.ReadaheadIssued.Value(),
 				ReadaheadHits:   st.ReadaheadHits.Value(),
-				WorkersUsed:     st.WorkersUsed.Value(),
-				ChainsStitched:  st.ChainsStitched.Value(),
 			}
 		}
 	}

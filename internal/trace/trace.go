@@ -121,13 +121,6 @@ type Counters struct {
 	// are zero for memory-resident indexes.
 	ReadaheadIssued int64 `json:"readaheadIssued,omitempty"`
 	ReadaheadHits   int64 `json:"readaheadHits,omitempty"`
-	// WorkersUsed counts backbone partitions spawned by the intra-query
-	// parallel scan (zero on the sequential path); ChainsStitched counts
-	// cross-partition chain roots the ordered stitch pass resolved.
-	// Like WordsCompared these measure machine-level strategy, not index
-	// work: Nodes stays parallelism-invariant, these do not.
-	WorkersUsed    int64 `json:"workersUsed,omitempty"`
-	ChainsStitched int64 `json:"chainsStitched,omitempty"`
 }
 
 func (c *Counters) add(o Counters) {
@@ -140,8 +133,6 @@ func (c *Counters) add(o Counters) {
 	c.WordsCompared += o.WordsCompared
 	c.ReadaheadIssued += o.ReadaheadIssued
 	c.ReadaheadHits += o.ReadaheadHits
-	c.WorkersUsed += o.WorkersUsed
-	c.ChainsStitched += o.ChainsStitched
 }
 
 // Record is one finished span.

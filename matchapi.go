@@ -66,20 +66,6 @@ func (x *Compact) MaximalMatchesContext(ctx context.Context, query []byte, minLe
 	return convertReport(rep)
 }
 
-// MaximalMatchesWithData is the old compact-layout entry point taking the
-// indexed text explicitly; data must equal the original indexed string.
-//
-// Deprecated: the index now unpacks its own text — use
-// Compact.MaximalMatches; for plain occurrence reads prefer the unified
-// Query entry point.
-func (x *Compact) MaximalMatchesWithData(data, query []byte, minLen int) ([]Match, MatchInfo, error) {
-	rep, err := match.MaximalMatches(match.NewCompactSpineEngine(x.c), data, query, minLen)
-	if err != nil {
-		return nil, MatchInfo{}, err
-	}
-	return convertReport(rep)
-}
-
 func convertReport(rep match.Report) ([]Match, MatchInfo, error) {
 	out := make([]Match, len(rep.Matches))
 	for i, m := range rep.Matches {

@@ -136,17 +136,6 @@ func (x *Index) FindAllLimitContext(ctx context.Context, p []byte, limit int) (Q
 	return x.Query(ctx, p, QueryOptions{Kind: KindFindAll, Limit: limit})
 }
 
-// FindAllLimit returns at most max occurrence start offsets of p in
-// increasing order, stopping the backbone scan as soon as the cap is
-// reached. max <= 0 means unlimited.
-//
-// Deprecated: use Query with KindFindAll and a Limit, which also
-// reports truncation and scan work.
-func (x *Index) FindAllLimit(p []byte, max int) []int {
-	res, _ := x.Query(context.Background(), p, QueryOptions{Kind: KindFindAll, Limit: max})
-	return res.Positions
-}
-
 // CountContext returns the number of occurrences of p; equivalent to
 // Query with KindCount.
 func (x *Index) CountContext(ctx context.Context, p []byte) (int, error) {
@@ -179,15 +168,6 @@ func (x *Compact) FindAllContext(ctx context.Context, p []byte) ([]int, error) {
 // Index.FindAllLimitContext.
 func (x *Compact) FindAllLimitContext(ctx context.Context, p []byte, limit int) (QueryResult, error) {
 	return x.Query(ctx, p, QueryOptions{Kind: KindFindAll, Limit: limit})
-}
-
-// FindAllLimit returns at most max occurrences.
-//
-// Deprecated: use Query with KindFindAll and a Limit; see
-// Index.FindAllLimit.
-func (x *Compact) FindAllLimit(p []byte, max int) []int {
-	res, _ := x.Query(context.Background(), p, QueryOptions{Kind: KindFindAll, Limit: max})
-	return res.Positions
 }
 
 // CountContext returns the number of occurrences of p; see

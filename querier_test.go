@@ -109,18 +109,6 @@ func TestQuerierFindAllLimit(t *testing.T) {
 				name, len(res.Positions), len(full), res.Truncated, err)
 		}
 	}
-	// Non-context convenience forms.
-	if got := ref.FindAllLimit([]byte("ac"), 3); len(got) != 3 {
-		t.Fatalf("Index.FindAllLimit = %v", got)
-	}
-	c, _ := ref.Compact(DNA)
-	if got := c.FindAllLimit([]byte("ac"), 3); len(got) != 3 {
-		t.Fatalf("Compact.FindAllLimit = %v", got)
-	}
-	sh, _ := BuildSharded(text, 8, 4, 0)
-	if got, err := sh.FindAllLimit([]byte("ac"), 3); err != nil || len(got) != 3 {
-		t.Fatalf("Sharded.FindAllLimit = %v, %v", got, err)
-	}
 }
 
 func TestQuerierCancellation(t *testing.T) {

@@ -165,15 +165,6 @@ func (s *Sharded) FindAllContext(ctx context.Context, p []byte) ([]int, error) {
 	return res.Positions, err
 }
 
-// FindAllLimit returns at most max occurrences.
-//
-// Deprecated: use Query with KindFindAll and a Limit, which also
-// reports truncation and scan work.
-func (s *Sharded) FindAllLimit(p []byte, max int) ([]int, error) {
-	res, err := s.FindAllLimitContext(context.Background(), p, max)
-	return res.Positions, err
-}
-
 // FindAllLimitContext returns at most limit occurrences; equivalent to
 // Query with KindFindAll.
 func (s *Sharded) FindAllLimitContext(ctx context.Context, p []byte, limit int) (QueryResult, error) {

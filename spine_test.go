@@ -1,6 +1,7 @@
 package spine
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -123,14 +124,6 @@ func TestMaximalMatchesAPI(t *testing.T) {
 	}
 	if len(cm) != len(matches) {
 		t.Fatalf("compact found %d matches, reference %d", len(cm), len(matches))
-	}
-	// The deprecated explicit-data entry point must agree too.
-	cw, _, err := c.MaximalMatchesWithData(data, query, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cw) != len(matches) {
-		t.Fatalf("MaximalMatchesWithData found %d matches, reference %d", len(cw), len(matches))
 	}
 }
 
@@ -267,6 +260,36 @@ func indexOf(s, p []byte) int {
 		}
 	}
 	return -1
+}
+
+func TestOpenDiskPageSizeMismatch(t *testing.T) {
+	dir := t.TempDir()
+	d, err := CreateDisk(dir, DiskOptions{PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AppendString([]byte("acgtacgt")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A conflicting page size must fail loudly with the sentinel, not be
+	// silently ignored (the page files were written at 512).
+	if _, err := OpenDisk(dir, DiskOptions{PageSize: 4096}); !errors.Is(err, ErrPageSizeMismatch) {
+		t.Fatalf("mismatched page size: err = %v, want ErrPageSizeMismatch", err)
+	}
+	// Zero (use stored) and the matching value both open.
+	for _, ps := range []int{0, 512} {
+		re, err := OpenDisk(dir, DiskOptions{PageSize: ps})
+		if err != nil {
+			t.Fatalf("PageSize %d: %v", ps, err)
+		}
+		if ok, err := re.Contains([]byte("gtac")); err != nil || !ok {
+			t.Fatalf("PageSize %d: Contains = %v, %v", ps, ok, err)
+		}
+		re.Close()
+	}
 }
 
 func TestDiskPersistenceAPI(t *testing.T) {
