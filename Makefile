@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race lint bench bench-smoke serve fmt fuzz-smoke cover
+.PHONY: build test check vet race lint bench bench-smoke bench-scan serve fmt fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,12 @@ bench:
 # non-zero when any workload is not correct.
 bench-smoke:
 	$(GO) run ./benchmark -smoke
+
+# bench-scan is the quick check for occurrence-scan changes: the
+# in-tree microbenchmark of the regimes the suite's `scan` workload
+# measures (eco corpus, both layouts, |P| 8/12/32), five samples each.
+bench-scan:
+	$(GO) test -run '^$$' -bench OccurrenceScan -benchtime 20x -count 5 ./internal/core
 
 serve:
 	$(GO) run ./cmd/spineserve -synthetic eco -divide 10 -addr :8080

@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	runtimepprof "runtime/pprof"
 	"strconv"
 	"time"
@@ -313,9 +314,11 @@ func (s *server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	s.fail(w, r, statusFor(err), codeFor(err), err.Error())
 }
 
-// pattern extracts and validates the q parameter.
-func (s *server) pattern(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	q := r.URL.Query().Get("q")
+// pattern extracts and validates the q parameter from the request's
+// parsed query string; handlers parse it once and read their own
+// parameters from the same values.
+func (s *server) pattern(w http.ResponseWriter, r *http.Request, query url.Values) ([]byte, bool) {
+	q := query.Get("q")
 	if q == "" {
 		s.fail(w, r, http.StatusBadRequest, codeBadRequest, "missing q parameter")
 		return nil, false
@@ -447,7 +450,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleContains(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.pattern(w, r)
+	p, ok := s.pattern(w, r, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -468,7 +471,7 @@ func (s *server) handleContains(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleFind(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.pattern(w, r)
+	p, ok := s.pattern(w, r, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -489,12 +492,13 @@ func (s *server) handleFind(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleFindAll(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.pattern(w, r)
+	query := r.URL.Query()
+	p, ok := s.pattern(w, r, query)
 	if !ok {
 		return
 	}
 	limit := s.cfg.findAllCap
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := query.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			s.fail(w, r, http.StatusBadRequest, codeBadRequest, "bad limit")
@@ -528,7 +532,7 @@ func (s *server) handleFindAll(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.pattern(w, r)
+	p, ok := s.pattern(w, r, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -552,12 +556,13 @@ func (s *server) handleApprox(w http.ResponseWriter, r *http.Request) {
 			"approximate search is not supported by this index type")
 		return
 	}
-	p, ok := s.pattern(w, r)
+	query := r.URL.Query()
+	p, ok := s.pattern(w, r, query)
 	if !ok {
 		return
 	}
 	k := 1
-	if v := r.URL.Query().Get("k"); v != "" {
+	if v := query.Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 || n > 3 {
 			s.fail(w, r, http.StatusBadRequest, codeBadRequest, "bad k (0..3)")
@@ -566,7 +571,7 @@ func (s *server) handleApprox(w http.ResponseWriter, r *http.Request) {
 		k = n
 	}
 	model := spine.Hamming
-	switch r.URL.Query().Get("model") {
+	switch query.Get("model") {
 	case "", "hamming":
 	case "edit":
 		model = spine.Edit

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -81,6 +82,7 @@ type ScanReport struct {
 	Rounds    int       `json:"rounds"`
 	Kernel    string    `json:"kernel"` // mode selection: all|swar|scalar
 	ISA       string    `json:"isa"`    // compiled word-load path: amd64|generic
+	MaxProcs  int       `json:"maxProcs"`
 	Rows      []ScanRow `json:"rows"`
 }
 
@@ -136,6 +138,7 @@ func RunScanBench(c *Corpus, cfg ScanBenchConfig) (Table, ScanReport, error) {
 		Rounds:    rounds,
 		Kernel:    sel,
 		ISA:       core.ScanKernelISA(),
+		MaxProcs:  runtime.GOMAXPROCS(0),
 	}
 
 	prevSkip := core.SetBlockSkip(true)

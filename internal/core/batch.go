@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	mbits "math/bits"
 	"time"
 
 	"github.com/spine-index/spine/internal/trace"
@@ -187,14 +186,15 @@ func scanManyLimitTracedOnCtx[S store](ctx context.Context, s S, firsts, lens []
 		if !ok {
 			break
 		}
-		for ; mask != 0; mask &= mask - 1 {
-			j := base + int32(mbits.TrailingZeros64(mask))
-			link, lel := s.linkOf(j)
-			// minActiveLen may have risen since the mask was computed; the
-			// mask is then a superset and this exact test still decides.
-			if lel < minActiveLen || !sc.member(link) {
-				continue
+		for mask != 0 {
+			// minActiveLen may have risen since the mask was computed: it
+			// is passed again after every hit, and the probe's exact LEL
+			// test decides over what is then a superset mask.
+			var j int32
+			if j, mask = s.nextMember(base, mask, minActiveLen, sc.bits); j == 0 {
+				break
 			}
+			link, lel := s.linkOf(j)
 			for _, m := range owners[link] {
 				if done[m] || lel < lens[m] || j <= firsts[m] {
 					continue

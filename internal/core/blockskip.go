@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	mbits "math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,14 +28,15 @@ import (
 //     not need the paper's sorted-buffer binary probe: a one-bit-per-node
 //     set answers it with one read, and at n/8 bytes it stays
 //     cache-resident where the probe is random.
-//   - Inside an admitted block the lel(j) >= |p| test is a property of
-//     the layout's packed labels: store.lelMask answers it for the whole
-//     block as one 64-bit candidate mask, so dense and sparse blocks run
-//     the same TrailingZeros64 loop.
+//   - Inside an admitted block both halves of the per-node test are a
+//     property of the layout: store.lelMask answers lel(j) >= |p| for
+//     the whole block as one 64-bit candidate mask, and store.nextMember
+//     walks that mask with the layout's own link decode, its slices in
+//     locals, up to the next node whose link is a member.
 //
 // Every accelerated scan — collect, count, stream and the batch pass —
 // walks the backbone through the one blockIter below and differs only
-// in what it does with a candidate.
+// in what it does with a member.
 //
 // The pre-existing scalar scan (scalarEachOn: containsSorted over a
 // fresh buffer) is retained verbatim as the in-tree differential
@@ -163,11 +163,6 @@ func putScratch(sc *scanScratch) {
 	scratchPool.Put(sc)
 }
 
-// member reports whether node x was added during this query.
-func (sc *scanScratch) member(x int32) bool {
-	return sc.bits[x>>6]>>(uint(x)&63)&1 != 0
-}
-
 // add makes node x a member of the current target set.
 func (sc *scanScratch) add(x int32) {
 	w := x >> 6
@@ -284,9 +279,10 @@ func (it *blockIter[S]) advanceReadahead() {
 // its candidates: bit k of mask is node base+k, set iff the node passes
 // the layout's lel >= patlen lane test — conservative (the compact
 // layout saturates LELs, the scalar kernel passes every node, and a
-// raised threshold leaves the current mask a superset), so callers
-// re-check the exact LEL from linkOf. ok is false when the range is
-// exhausted or the context ended (it.err).
+// raised threshold leaves the current mask a superset), so the
+// layout's nextMember, which walks the mask, re-checks the exact LEL.
+// ok is false when the range is exhausted or the context ended
+// (it.err).
 func (it *blockIter[S]) next(maxMember int32) (base int32, mask uint64, ok bool) {
 	if it.st.visited+blockSize*it.st.blocksSkipped >= it.nextCheck {
 		it.nextCheck += cancelStride
@@ -360,16 +356,16 @@ func occEachOn[S store](ctx context.Context, s S, sc *scanScratch, first, patlen
 		if !ok {
 			return it.st, 0, it.err
 		}
-		for ; mask != 0; mask &= mask - 1 {
-			j := base + int32(mbits.TrailingZeros64(mask))
-			link, lel := s.linkOf(j)
-			if lel >= patlen && sc.member(link) {
-				sc.add(j)
-				maxMember = j
-				if !emit(j) {
-					it.stopAt(j)
-					return it.st, j, nil
-				}
+		for mask != 0 {
+			var j int32
+			if j, mask = s.nextMember(base, mask, patlen, sc.bits); j == 0 {
+				break
+			}
+			sc.add(j)
+			maxMember = j
+			if !emit(j) {
+				it.stopAt(j)
+				return it.st, j, nil
 			}
 		}
 	}

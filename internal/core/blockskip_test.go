@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	mbits "math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -266,7 +267,7 @@ func TestScratchBitsetReuse(t *testing.T) {
 	if len(sc.dirty) <= scratchDirtyBound {
 		t.Fatalf("dirtied %d words, need more than %d", len(sc.dirty), scratchDirtyBound)
 	}
-	if !sc.member(37) || sc.member(38) {
+	if sc.bits[0]>>37&1 == 0 || sc.bits[0]>>38&1 != 0 {
 		t.Fatal("bitset membership is wrong")
 	}
 	putScratch(sc)
@@ -312,4 +313,149 @@ func TestScratchBitsetReuse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// removedProbeLoop is the per-candidate body both scan loops ran before
+// the layouts took it over: linkOf, the exact lel >= patlen test and the
+// bit test, in candidate order.
+func removedProbeLoop[S store](s S, base int32, mask uint64, patlen int32, sc *scanScratch) (int32, uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		j := base + int32(mbits.TrailingZeros64(mask))
+		link, lel := s.linkOf(j)
+		if lel >= patlen && sc.bits[link>>6]>>(uint(link)&63)&1 != 0 {
+			return j, mask & (mask - 1)
+		}
+	}
+	return 0, 0
+}
+
+// checkNextMember walks every block of s with the masks either kernel
+// hands the probe (all nodes of the block under the scalar kernel, the
+// lane test's under SWAR) and a random submask, over a sparse and a full
+// member set and thresholds around the block size and the 2-byte
+// sentinel, and requires nextMember to return what removedProbeLoop
+// does, rest mask included, hit after hit.
+func checkNextMember[S store](t *testing.T, name string, s S, rng *rand.Rand) {
+	t.Helper()
+	n := s.textLen()
+	for _, every := range []int32{16, 1} {
+		sc := getScratch(n)
+		for x := int32(0); x <= n; x++ {
+			if every == 1 || rng.Int31n(every) == 0 {
+				sc.add(x)
+			}
+		}
+		for _, patlen := range []int32{1, 2, 63, 64, 65, 0xFFFE, 0xFFFF, 0x10000} {
+			for b := 0; b < blocksFor(int(n)); b++ {
+				base, last := int32(b)<<blockShift+1, blockLastNode(b)
+				if last > n {
+					last = n
+				}
+				all := ^uint64(0) >> uint(63-(last-base))
+				swar, _ := s.lelMask(base, last, patlen)
+				for _, mask := range []uint64{all, swar, all & rng.Uint64()} {
+					for mask != 0 {
+						wantJ, wantRest := removedProbeLoop(s, base, mask, patlen, sc)
+						j, rest := s.nextMember(base, mask, patlen, sc.bits)
+						if j != wantJ || rest != wantRest {
+							t.Fatalf("%s: nextMember(base=%d, mask=%#x, patlen=%d) over 1/%d members = (%d, %#x), the removed loop gives (%d, %#x)",
+								name, base, mask, patlen, every, j, rest, wantJ, wantRest)
+						}
+						mask = rest
+					}
+				}
+			}
+		}
+		putScratch(sc)
+	}
+}
+
+// TestNextMemberMatchesLinkOf is the differential test of the layouts'
+// probe, on corpora that reach every arm of the compact decode: untagged
+// refs, all seven inline rib shapes, an empty spill table (the dummy
+// row), LELs past the 2-byte sentinel, and — on a 16-letter alphabet —
+// spilled rows.
+func TestNextMemberMatchesLinkOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1501))
+	x := randDNA(rng, 66_000)
+	dna := Build(append(append([]byte{}, x...), x...)) // second copy: LELs up to 66 000
+	dnaComp, err := Freeze(dna, seq.DNA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := Build(randomRepetitive(rng, []byte(hex16Letters), 6000))
+	wideComp, err := Freeze(wide, hex16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untagged := 0
+	for _, ref := range dnaComp.ref[1:] {
+		if ref&refTag == 0 {
+			untagged++
+		}
+	}
+	if untagged == 0 || len(dnaComp.spill.ld) != 0 || len(dnaComp.lelOverflow) == 0 || len(wideComp.spill.ld) == 0 {
+		t.Fatalf("corpora miss an arm: %d untagged refs, %d DNA spill rows, %d overflowed LELs, %d wide spill rows",
+			untagged, len(dnaComp.spill.ld), len(dnaComp.lelOverflow), len(wideComp.spill.ld))
+	}
+	for shape := 1; shape < numShapes; shape++ {
+		if len(dnaComp.tables[shape].ld) == 0 {
+			t.Fatalf("DNA corpus has no node of rib shape %d", shape)
+		}
+	}
+	checkNextMember(t, "reference/dna", dna, rng)
+	checkNextMember(t, "compact/dna", dnaComp, rng)
+	checkNextMember(t, "reference/wide", wide, rng)
+	checkNextMember(t, "compact/wide", wideComp, rng)
+
+	// Why the probe returns at each hit: in a run of one letter every
+	// node links to its predecessor, so node 4 is an occurrence end of
+	// "aa" only once node 3, found by the same block's previous call, has
+	// been admitted to the set.
+	run := Build(bytes.Repeat([]byte("a"), 200))
+	runComp := mustFreeze(t, run.text, seq.DNA)
+	perHit := func(name string, probe func(mask uint64, sc *scanScratch) (int32, uint64)) {
+		sc := getScratch(200)
+		defer putScratch(sc)
+		sc.add(2) // first occurrence end of "aa"
+		after2 := ^uint64(0) &^ 3
+		j, rest := probe(after2, sc)
+		if j != 3 {
+			t.Fatalf("%s: first hit is node %d, want 3", name, j)
+		}
+		if j, _ := probe(rest, sc); j != 0 {
+			t.Fatalf("%s: node %d hit before node 3 was admitted", name, j)
+		}
+		sc.add(3)
+		if j, _ := probe(rest, sc); j != 4 {
+			t.Fatalf("%s: after admitting node 3 the next hit is %d, want 4", name, j)
+		}
+	}
+	perHit("reference", func(mask uint64, sc *scanScratch) (int32, uint64) { return run.nextMember(1, mask, 2, sc.bits) })
+	perHit("compact", func(mask uint64, sc *scanScratch) (int32, uint64) { return runComp.nextMember(1, mask, 2, sc.bits) })
+
+	// The probe's rows are derived state: validate must notice rows that
+	// are equal copies of the tables instead of the tables themselves, and
+	// a slot 0 that is neither the spill table nor the dummy row.
+	for _, tc := range []struct {
+		name string
+		c    *CompactIndex
+		slot int
+		with []uint32
+	}{
+		{"copied inline table", dnaComp, 3, append([]uint32(nil), dnaComp.tables[3].ld...)},
+		{"copied spill table", wideComp, 0, append([]uint32(nil), wideComp.spill.ld...)},
+		{"missing dummy row", dnaComp, 0, nil},
+	} {
+		if err := tc.c.validate(); err != nil {
+			t.Fatalf("%s: intact index rejected: %v", tc.name, err)
+		}
+		saved := tc.c.ldTabs[tc.slot]
+		tc.c.ldTabs[tc.slot] = tc.with
+		err := tc.c.validate()
+		tc.c.ldTabs[tc.slot] = saved
+		if err == nil {
+			t.Fatalf("%s: validate accepted probe rows that do not alias the tables", tc.name)
+		}
+	}
 }

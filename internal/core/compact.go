@@ -49,6 +49,14 @@ type CompactIndex struct {
 	// (4 blocks per word) for the SWAR admission prefilter; rebuilt
 	// wherever blocks is rebuilt.
 	blockLEL []uint64
+	// ldTabs is the link-destination column of every rib table by shape
+	// id, slot 0 the spill table's, so the scan probe decodes a tagged
+	// ref with two indexed loads and no branch on the shape. The rows
+	// alias spill.ld and tables[1..7].ld; an empty spill table gets a
+	// one-element dummy row, because the probe reads row 0 of slot 0 for
+	// every untagged ref. Derived with blockLEL (deriveScanState), never
+	// serialized.
+	ldTabs [numShapes][]uint32
 
 	// ra is the optional scan readahead sink (see SetScanReadahead);
 	// nil for memory-resident indexes.
@@ -173,8 +181,23 @@ func Freeze(idx *Index, alpha *seq.Alphabet) (*CompactIndex, error) {
 		c.ref[i] = refTag | uint32(shape)<<refShapeShift | row
 	}
 	c.blocks = buildBlocksOn(c)
-	c.blockLEL = packBlockLELs(c.blocks)
+	c.deriveScanState()
 	return c, nil
+}
+
+// deriveScanState rebuilds the scan state that is derived from the
+// layout and never serialized — the packed admission lanes and the
+// probe's link-destination rows — once blocks and the rib tables are
+// final. Every constructor and loader ends with it.
+func (c *CompactIndex) deriveScanState() {
+	c.blockLEL = packBlockLELs(c.blocks)
+	c.ldTabs[0] = c.spill.ld
+	if len(c.spill.ld) == 0 {
+		c.ldTabs[0] = make([]uint32, 1)
+	}
+	for shape := 1; shape < numShapes; shape++ {
+		c.ldTabs[shape] = c.tables[shape].ld
+	}
 }
 
 func boolBit(b bool) int {
@@ -361,7 +384,7 @@ func (c *CompactIndex) vertWord(v int32) uint64 { return c.chars.WordAt(int(v)) 
 
 // lelMask compares four saturated uint16 LEL lanes per word. The
 // sentinel saturation makes the mask conservative (an overflowed LEL
-// always passes); the caller re-checks the exact LEL through linkOf.
+// always passes); nextMember re-checks the exact LEL.
 func (c *CompactIndex) lelMask(j, last, patlen int32) (mask uint64, words int64) {
 	t, k := satLEL16(patlen), uint(0)
 	for ; j+3 <= last; j, k = j+4, k+4 {
@@ -378,6 +401,38 @@ func (c *CompactIndex) lelMask(j, last, patlen int32) (mask uint64, words int64)
 		}
 	}
 	return mask, words
+}
+
+// nextMember re-tests every candidate's exact LEL itself: the mask is
+// only a superset under the scalar kernel, for saturated lanes and after
+// a raised batch threshold, and testing here is right whichever kernel
+// built it. The link decode is ldOf without its branch on the tag bit,
+// which a quarter of a repeat-rich genome's refs carry in no learnable
+// pattern: m is all-ones for a tagged ref and zero otherwise, so an
+// untagged ref reads row 0 of slot 0 (always present) and discards it.
+func (c *CompactIndex) nextMember(base int32, mask uint64, patlen int32, bits []uint64) (int32, uint64) {
+	lels, refs, tabs := c.lel, c.ref, &c.ldTabs
+	for mask != 0 {
+		var k int32
+		k, mask = lowestLane(mask)
+		j := base + k
+		if l := lels[j]; int32(l) < patlen {
+			if l != labelSentinel {
+				continue
+			}
+			if _, lel := c.linkOf(j); lel < patlen {
+				continue
+			}
+		}
+		ref := refs[j]
+		m := uint32(int32(ref) >> 31)
+		v := tabs[(ref>>refShapeShift)&7&m][ref&refRowMask&m]
+		ld := v&m | ref&^m
+		if bits[ld>>6]>>(ld&63)&1 != 0 {
+			return j, mask
+		}
+	}
+	return 0, 0
 }
 
 func (c *CompactIndex) linkOf(i int32) (int32, int32) {

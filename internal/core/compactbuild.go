@@ -346,7 +346,7 @@ func (b *CompactBuilder) Finish() *CompactIndex {
 		c.spill = fresh
 	}
 	c.blocks = buildBlocksOn(c)
-	c.blockLEL = packBlockLELs(c.blocks)
+	c.deriveScanState()
 	b.c = nil
 	return c
 }

@@ -48,8 +48,17 @@ type store interface {
 	// packed LEL lanes; words is the lane words compared. The test is
 	// conservative — false positives are possible (the compact layout
 	// saturates LELs at the uint16 sentinel) but false negatives are
-	// not; callers re-check the exact LEL via linkOf.
+	// not; nextMember re-checks the exact LEL.
 	lelMask(j, last, patlen int32) (mask uint64, words int64)
+	// nextMember is the per-candidate body of every accelerated scan:
+	// it walks the candidates of mask (bit k = node base+k) in
+	// increasing order and returns the first node j whose exact LEL is
+	// >= patlen and whose link target has its bit set in bits (bit x of
+	// word x>>6 = node x), plus the mask of the candidates after j;
+	// j == 0 when none qualifies. It returns at each hit, not once per
+	// block, because the caller must admit j to the set before the rest
+	// of the block is probed: a later node of the block may link to j.
+	nextMember(base int32, mask uint64, patlen int32, bits []uint64) (j int32, rest uint64)
 	// readahead returns the scan readahead sink for disk-backed
 	// layouts, or nil when the store is memory-resident. The scan
 	// loops consult it once per entry; a nil sink costs nothing.

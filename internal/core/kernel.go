@@ -245,3 +245,17 @@ func SetScanParallelism(int) (previous int) { return 1 }
 
 // ScanParallelism reports 1; see SetScanParallelism.
 func ScanParallelism() int { return 1 }
+
+// lowestLane returns the index of mask's lowest set bit and mask without
+// it (mask != 0). It counts the zeros below the bit with a population
+// count rather than TrailingZeros64: for a known-nonzero argument the
+// compiler emits a bare BSFQ, whose destination register is also an
+// input, and in the probe loops the register allocator reuses the
+// register that last held the membership word — every candidate then
+// waits for the previous candidate's whole load chain, which tripled the
+// cost of a dense block. POPCNTQ gets its dependency-breaking XOR from
+// the compiler.
+func lowestLane(mask uint64) (k int32, rest uint64) {
+	t := mask - 1
+	return int32(mbits.OnesCount64(^mask & t)), mask & t
+}

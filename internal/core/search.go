@@ -37,8 +37,8 @@ func (idx *Index) vertWord(v int32) uint64 {
 }
 
 // lelMask compares two int32 lanes per word. The int32 LELs are exact
-// (no sentinel saturation), so the mask is exact here; the caller
-// re-checks through linkOf regardless.
+// (no sentinel saturation), so the mask is exact here; nextMember
+// re-checks regardless.
 func (idx *Index) lelMask(j, last, patlen int32) (mask uint64, words int64) {
 	t, k := uint32(patlen), uint(0)
 	for ; j < last; j, k = j+2, k+2 {
@@ -50,6 +50,23 @@ func (idx *Index) lelMask(j, last, patlen int32) (mask uint64, words int64) {
 		mask |= 1 << k
 	}
 	return mask, words
+}
+
+// nextMember reads the exact int32 LEL and the plain link column.
+func (idx *Index) nextMember(base int32, mask uint64, patlen int32, bits []uint64) (int32, uint64) {
+	lels, links := idx.lel, idx.link
+	for mask != 0 {
+		var k int32
+		k, mask = lowestLane(mask)
+		j := base + k
+		if lels[j] < patlen {
+			continue
+		}
+		if ld := uint32(links[j]); bits[ld>>6]>>(ld&63)&1 != 0 {
+			return j, mask
+		}
+	}
+	return 0, 0
 }
 
 // step advances a valid path of length pathlen ending at node v by one

@@ -319,8 +319,7 @@ func readCompactLegacy(r io.Reader) (*CompactIndex, error) {
 		// table so loaded indexes accelerate identically to frozen ones.
 		c.blocks = buildBlocksOn(c)
 	}
-	// The packed SWAR admission lanes are derived state, never serialized.
-	c.blockLEL = packBlockLELs(c.blocks)
+	c.deriveScanState()
 	if err := c.validate(); err != nil {
 		return fail(err)
 	}
@@ -351,8 +350,18 @@ func (c *CompactIndex) validate() error {
 	if len(c.blockLEL) != (len(c.blocks)+3)/4 {
 		return fmt.Errorf("packed admission lanes cover %d words for %d blocks (want %d)", len(c.blockLEL), len(c.blocks), (len(c.blocks)+3)/4)
 	}
+	if len(c.spill.ld) == 0 {
+		if len(c.ldTabs[0]) != 1 {
+			return fmt.Errorf("probe link rows: slot 0 is not the one-row dummy of an empty spill table")
+		}
+	} else if !sameU32s(c.ldTabs[0], c.spill.ld) {
+		return fmt.Errorf("probe link rows: slot 0 does not alias the spill table")
+	}
 	for shape := 1; shape < numShapes; shape++ {
 		tb := &c.tables[shape]
+		if !sameU32s(c.ldTabs[shape], tb.ld) {
+			return fmt.Errorf("probe link rows: slot %d does not alias its rib table", shape)
+		}
 		rows := len(tb.ld)
 		if len(tb.ribRD) != rows*tb.ribs || len(tb.ribPT) != rows*tb.ribs || len(tb.ribCL) != rows*tb.ribs {
 			return fmt.Errorf("shape %d rib arrays inconsistent", shape)
@@ -373,6 +382,11 @@ func (c *CompactIndex) validate() error {
 		return fmt.Errorf("spill CSR tail inconsistent")
 	}
 	return nil
+}
+
+// sameU32s reports whether a and b are the same slice, not equal copies.
+func sameU32s(a, b []uint32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // validateRefs walks every node's link reference and bounds-checks its

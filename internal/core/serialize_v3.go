@@ -590,8 +590,7 @@ func openCompactBytes(data []byte, verify bool) (*CompactIndex, *CompactLayout, 
 		return fail("%v", err)
 	}
 	c.chars = packed
-	// The packed SWAR admission lanes are derived state, never serialized.
-	c.blockLEL = packBlockLELs(c.blocks)
+	c.deriveScanState()
 	if err := c.validate(); err != nil {
 		return fail("%v", err)
 	}

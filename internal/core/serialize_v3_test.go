@@ -373,18 +373,22 @@ func TestLegacyV2CorruptionStillRejected(t *testing.T) {
 // truncation and NodesChecked. `go test` runs the corpus;
 // `go test -fuzz=FuzzMappedEquivalence` mines.
 func FuzzMappedEquivalence(f *testing.F) {
-	f.Add([]byte("aaccacaaca"), []byte("ca"), uint8(0))
-	f.Add([]byte("abababab"), []byte("ab"), uint8(3))
-	f.Add(repeatStr("acca", 33), []byte("cca"), uint8(1))
-	f.Add(repeatStr("a", 65), []byte("aaa"), uint8(2))
-	f.Add(repeatStr("gattaca", 40), repeatStr("gattaca", 10), uint8(0))
-	f.Fuzz(func(t *testing.T, rawText, rawPat []byte, limRaw uint8) {
-		if len(rawText) > 4096 || len(rawPat) > 160 {
+	f.Add([]byte("aaccacaaca"), []byte("ca"), uint8(0), uint8(0))
+	f.Add([]byte("abababab"), []byte("ab"), uint8(3), uint8(0))
+	f.Add(repeatStr("acca", 33), []byte("cca"), uint8(1), uint8(0))
+	f.Add(repeatStr("a", 65), []byte("aaa"), uint8(2), uint8(0))
+	f.Add(repeatStr("gattaca", 40), repeatStr("gattaca", 10), uint8(0), uint8(0))
+	// The probe's decode arms, as in FuzzScanEquivalence: spilled nodes,
+	// an empty spill table under mixed refs, overflowed LELs.
+	f.Add(repeatStr("abacadaeafagah", 12), []byte("ab"), uint8(0), uint8(1))
+	f.Add(repeatStr("aabacadbbcbdccd", 9), []byte("da"), uint8(2), uint8(0))
+	f.Add([]byte("acgtacg"), []byte("acgtacgtac"), uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, rawText, rawPat []byte, limRaw, mode uint8) {
+		text, pat, alpha, ok := fuzzInput(rawText, rawPat, mode)
+		if !ok {
 			return
 		}
-		text := dnaFrom(rawText)
-		pat := dnaFrom(rawPat)
-		heap, err := Freeze(Build(text), seq.DNA)
+		heap, err := Freeze(Build(text), alpha)
 		if err != nil {
 			t.Fatalf("Freeze: %v", err)
 		}
