@@ -18,7 +18,9 @@ type CacheConfig struct {
 	// fixed overhead), not exact heap usage.
 	MaxBytes int64
 	// Shards is the cache's lock-shard count, rounded up to a power of
-	// two; <= 0 picks rescache.DefaultShards.
+	// two; <= 0 derives it from MaxBytes (up to rescache.DefaultShards,
+	// each with at least rescache.MinShardBytes of the budget). A
+	// shard's slice of the budget bounds the largest answer it admits.
 	Shards int
 	// DisableNegFilter turns the q-gram negative filter off; by default
 	// Cached builds one over the wrapped index's text, so that absent
@@ -37,10 +39,19 @@ type CacheConfig struct {
 
 // CacheStats is a point-in-time view of a CachedQuerier's counters.
 type CacheStats struct {
-	// Hits and Misses count result-cache lookups (negative-filter
-	// rejections consult no cache and count in neither).
+	// Hits counts requests (single queries and batch items) answered
+	// from the pattern's cache entry, whichever kind of request put the
+	// knowledge there; Misses counts requests that went to the index,
+	// because the pattern had no entry or its entry did not determine
+	// the answer. Negative-filter rejections consult no cache and count
+	// in neither.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
+	// ScanMisses counts the misses that cost a backbone scan: findall,
+	// count and batch items for a pattern that occurs. The other misses
+	// are pattern descents, three orders of magnitude cheaper, so this
+	// — not the hit ratio — is what the cache's work saved turns on.
+	ScanMisses int64 `json:"scanMisses"`
 	// NegRejects counts queries the negative filter answered (pattern
 	// definitely absent, no index work); NegFalsePos counts patterns the
 	// filter passed that the index then proved absent — the filter's
@@ -88,11 +99,19 @@ func capability[T any](q Querier) (T, bool) {
 	}
 }
 
-// CachedQuerier decorates a Querier with a sharded LRU result cache and
-// a q-gram negative filter, serving repeated (Zipf-skewed) workloads
-// from memory and absent patterns in O(|P|). It intercepts exactly the
+// CachedQuerier decorates a Querier with a result cache and a q-gram
+// negative filter, serving repeated (Zipf-skewed) workloads from memory
+// and absent patterns in O(|P|). It intercepts exactly the
 // Query/QueryBatch choke points, so every legacy shim on the underlying
 // index is covered when callers route reads through the decorator.
+//
+// The cache holds one entry per pattern: what the index has said about
+// it so far (see known). Every answer the index gives is folded into
+// the entry, and a request of any kind, single or batch item, is served
+// from it whenever it determines the index's answer exactly — a
+// complete findall answers count, find and contains too. Under memory
+// pressure, entries a pattern descent can rebuild go before entries
+// that took a backbone scan (see package rescache).
 //
 // Cache entries never alias caller-visible slices: Positions is cloned
 // on insert and again on every hit, so callers may mutate the results
@@ -110,6 +129,7 @@ type CachedQuerier struct {
 
 	hits        atomic.Int64
 	misses      atomic.Int64
+	scanMisses  atomic.Int64
 	negRejects  atomic.Int64
 	negFalsePos atomic.Int64
 }
@@ -213,36 +233,139 @@ func (c *CachedQuerier) cacheable(p []byte, kind QueryKind) bool {
 	return true
 }
 
-// cacheKey builds the rescache identity for a call. KindContains and
-// KindFind produce identical results, so they share entries under
-// KindFind.
-func cacheKey(p []byte, kind QueryKind, limit int) rescache.Key {
-	if kind == KindContains {
-		kind = KindFind
-	}
-	return rescache.Key{Pattern: string(p), Kind: uint8(kind), Limit: limit}
+// unasked marks a known.first nobody has asked the index for yet.
+const unasked = -2
+
+// known is a cache entry: what the index has said about one pattern so
+// far. Every engine answer for the pattern is folded in by learn, and
+// answer serves any later request the contents determine. A stored
+// known is immutable — learn works on a copy — so readers need no lock.
+type known struct {
+	first     int   // first occurrence offset; -1 absent; unasked
+	count     int   // exact occurrence count; -1 not yet counted
+	listed    bool  // list, limit and truncated hold a KindFindAll answer
+	list      []int // its Positions, private to the cache
+	limit     int   // the limit it was computed under (0 = none)
+	truncated bool  // its Truncated
 }
 
-// cacheCost estimates an entry's footprint for the byte budget.
-func cacheCost(k rescache.Key, res QueryResult) int64 {
-	return int64(len(k.Pattern)) + int64(len(res.Positions))*8 + 96
+// complete reports that list is every occurrence: the engine said so,
+// or a count since (or before) agrees with its length.
+func (k *known) complete() bool {
+	return k.listed && (!k.truncated || k.count == len(k.list))
 }
 
-// detach clones res.Positions so the cache entry and the caller never
-// share one slice: inserts detach from the scanning caller's result,
-// hits detach from the stored entry. Without this, a caller mutating
-// its Positions would silently corrupt every future cached answer.
-func detach(res QueryResult) QueryResult {
-	if len(res.Positions) > 0 {
-		res.Positions = append([]int(nil), res.Positions...)
+// answer derives the engine's answer to (kind, limit) from what is
+// known, reporting false when the contents do not determine it:
+//
+//	contains, find   first is known
+//	count            count is known (counted, or the list is complete)
+//	findall, limit   = the stored list's limit: the stored answer
+//	                 < len(list): that prefix, Truncated
+//	                 none or > len(list), list complete: the list
+//
+// The corner left out is a complete list of exactly limit occurrences
+// under a different limit: there the engine's Truncated depends on
+// where its scan stopped, so the engine is asked. An absent pattern is
+// first -1, count 0 and the complete empty list: it answers everything.
+// Positions is a fresh copy; the caller owns it.
+func (k *known) answer(kind QueryKind, limit int) (QueryResult, bool) {
+	res := QueryResult{Position: -1, Source: SourceCache}
+	switch kind {
+	case KindContains, KindFind:
+		if k.first == unasked {
+			return res, false
+		}
+		res.Found, res.Position = k.first >= 0, k.first
+	case KindCount:
+		if k.count < 0 {
+			return res, false
+		}
+		res.Count, res.Found = k.count, k.count > 0
+	case KindFindAll:
+		n := len(k.list)
+		switch {
+		case !k.listed:
+			return res, false
+		case limit == k.limit:
+			res.Truncated = k.truncated
+		case limit > 0 && limit < n:
+			n, res.Truncated = limit, true
+		case k.complete() && (limit == 0 || limit > n):
+		default:
+			return res, false
+		}
+		res.Positions = append([]int(nil), k.list[:n]...)
+		res.normalize()
 	}
-	return res
+	return res, true
+}
+
+// learn returns k with the engine's answer res to (kind, limit) folded
+// in. The list kept is the longer one, so the shorter of two racing
+// findalls cannot displace the other.
+func (k known) learn(kind QueryKind, limit int, res QueryResult) *known {
+	switch {
+	case !res.Found:
+		return &known{first: -1, listed: true}
+	case kind == KindCount:
+		k.count = res.Count
+	case kind == KindFindAll && (!k.listed || len(res.Positions) >= len(k.list)):
+		k.listed, k.limit, k.truncated = true, limit, res.Truncated
+		k.list = append([]int(nil), res.Positions...)
+		if !res.Truncated {
+			k.count = res.Count
+		}
+	}
+	if kind != KindCount {
+		k.first = res.Position
+	}
+	return &k
+}
+
+// scanned reports that k holds something only a backbone scan can
+// recompute: occurrences beyond the first of a pattern that occurs.
+func (k *known) scanned() bool { return k.count > 0 || len(k.list) > 0 }
+
+// lookup answers (kind, limit) for p from its cache entry when the
+// entry determines the answer, counting the hit or the miss.
+func (c *CachedQuerier) lookup(p []byte, kind QueryKind, limit int) (QueryResult, bool) {
+	if v, ok := c.cache.Get(rescache.Key(p)); ok {
+		if res, ok := v.(*known).answer(kind, limit); ok {
+			c.hits.Add(1)
+			return res, true
+		}
+	}
+	c.misses.Add(1)
+	return QueryResult{}, false
+}
+
+// remember folds the engine's answer to a miss into p's entry, unless
+// the cache has been invalidated since epoch was read. neg is the
+// filter that passed p, for its false-positive count.
+func (c *CachedQuerier) remember(p []byte, epoch uint64, neg *qgram.NegFilter, kind QueryKind, limit int, res QueryResult) {
+	if neg != nil && !res.Found && len(p) >= neg.Q() {
+		c.negFalsePos.Add(1)
+	}
+	if res.Found && kind >= KindFindAll {
+		c.scanMisses.Add(1)
+	}
+	c.cache.Update(rescache.Key(p), epoch, func(old any) (any, int64, bool) {
+		k := known{first: unasked, count: -1}
+		if old != nil {
+			k = *old.(*known)
+		}
+		nk := k.learn(kind, limit, res)
+		// An estimate of the footprint: pattern bytes, 8 per position,
+		// fixed overhead.
+		return nk, int64(len(p)) + int64(len(nk.list))*8 + 96, nk.scanned()
+	})
 }
 
 // Query implements Querier. Order of consultation: negative filter
-// (definitive absence in O(|P|)), then the result cache, then the
-// wrapped index; scan answers are inserted on the way out. The
-// result's Source field records which layer answered.
+// (definitive absence in O(|P|)), then the pattern's cache entry, then
+// the wrapped index, whose answer is folded into the entry on the way
+// out. The result's Source field records which layer answered.
 func (c *CachedQuerier) Query(ctx context.Context, p []byte, opts QueryOptions) (QueryResult, error) {
 	if opts.NoCache || !c.cacheable(p, opts.Kind) {
 		return c.inner.Query(ctx, p, opts)
@@ -261,36 +384,32 @@ func (c *CachedQuerier) Query(ctx context.Context, p []byte, opts QueryOptions) 
 			return QueryResult{Position: -1, Source: SourceNegFilter}, nil
 		}
 	}
-	key := cacheKey(p, opts.Kind, opts.effectiveLimit())
+	limit := opts.effectiveLimit()
+	// Read before the lookup: whatever the index says from here on is
+	// stored only if no Invalidate intervenes.
+	epoch := c.cache.Epoch()
 	sp := tr.Start(trace.StageCache)
-	v, ok := c.cache.Get(key)
+	res, ok := c.lookup(p, opts.Kind, limit)
 	sp.End()
 	if ok {
-		c.hits.Add(1)
-		res := detach(v.(QueryResult))
-		res.Source = SourceCache
-		res.NodesChecked = 0
 		return res, nil
 	}
-	c.misses.Add(1)
 	res, err := c.inner.Query(ctx, p, opts)
 	if err != nil {
 		return res, err
 	}
-	if neg != nil && !res.Found && len(p) >= neg.Q() {
-		c.negFalsePos.Add(1)
-	}
-	c.cache.Put(key, detach(res), cacheCost(key, res))
+	c.remember(p, epoch, neg, opts.Kind, limit, res)
 	res.Source = SourceScan
 	return res, nil
 }
 
 // QueryBatch implements Querier, cache-aware: negative-filter
-// rejections and cache hits are answered inline, and only the misses
-// are forwarded to the wrapped index's batch engine — its single
-// backbone scan then covers exactly the patterns that need index work.
-// Per-item limits follow BatchOptions semantics; scan answers are
-// inserted into the cache on the way out.
+// rejections and items their cache entry determines are answered
+// inline, and only the rest are forwarded to the wrapped index's batch
+// engine — its single backbone scan then covers exactly the patterns
+// that need index work. Per-item limits follow BatchOptions semantics;
+// a batch item is a KindFindAll request and shares its pattern's entry
+// with single queries of every kind.
 func (c *CachedQuerier) QueryBatch(ctx context.Context, patterns [][]byte, opts BatchOptions) ([]QueryResult, error) {
 	limits, err := opts.itemLimits(len(patterns))
 	if err != nil {
@@ -301,39 +420,27 @@ func (c *CachedQuerier) QueryBatch(ctx context.Context, patterns [][]byte, opts 
 	}
 	results := make([]QueryResult, len(patterns))
 	neg := c.neg.Load()
+	epoch := c.cache.Epoch()
 	var (
 		missPats   [][]byte
 		missLimits []int
 		missIdx    []int
 	)
 	for i, p := range patterns {
-		if !c.cacheable(p, KindFindAll) {
-			// Empty or overlong: forward so the engine's own semantics
-			// (empty-pattern expansion, per-item ErrPatternTooLong) apply.
-			missPats = append(missPats, p)
-			missLimits = append(missLimits, limits[i])
-			missIdx = append(missIdx, i)
-			continue
+		// Empty or overlong patterns are forwarded so the engine's own
+		// semantics (empty-pattern expansion, per-item ErrPatternTooLong)
+		// apply.
+		if c.cacheable(p, KindFindAll) {
+			if neg != nil && len(p) >= neg.Q() && !neg.MayContain(p) {
+				c.negRejects.Add(1)
+				results[i] = QueryResult{Position: -1, Source: SourceNegFilter}
+				continue
+			}
+			if res, ok := c.lookup(p, KindFindAll, max(limits[i], 0)); ok {
+				results[i] = res
+				continue
+			}
 		}
-		if neg != nil && len(p) >= neg.Q() && !neg.MayContain(p) {
-			c.negRejects.Add(1)
-			results[i] = QueryResult{Position: -1, Source: SourceNegFilter}
-			continue
-		}
-		limit := limits[i]
-		if limit < 0 {
-			limit = 0
-		}
-		key := cacheKey(p, KindFindAll, limit)
-		if v, ok := c.cache.Get(key); ok {
-			c.hits.Add(1)
-			res := detach(v.(QueryResult))
-			res.Source = SourceCache
-			res.NodesChecked = 0
-			results[i] = res
-			continue
-		}
-		c.misses.Add(1)
 		missPats = append(missPats, p)
 		missLimits = append(missLimits, limits[i])
 		missIdx = append(missIdx, i)
@@ -344,20 +451,10 @@ func (c *CachedQuerier) QueryBatch(ctx context.Context, patterns [][]byte, opts 
 			return nil, err
 		}
 		for k, i := range missIdx {
-			res := sub[k]
-			results[i] = res
-			if res.Err != nil || !c.cacheable(patterns[i], KindFindAll) {
-				continue
+			results[i] = sub[k]
+			if sub[k].Err == nil && c.cacheable(patterns[i], KindFindAll) {
+				c.remember(patterns[i], epoch, neg, KindFindAll, max(missLimits[k], 0), sub[k])
 			}
-			if neg != nil && !res.Found && len(patterns[i]) >= neg.Q() {
-				c.negFalsePos.Add(1)
-			}
-			limit := missLimits[k]
-			if limit < 0 {
-				limit = 0
-			}
-			key := cacheKey(patterns[i], KindFindAll, limit)
-			c.cache.Put(key, detach(res), cacheCost(key, res))
 		}
 	}
 	return results, nil
@@ -372,7 +469,8 @@ func (c *CachedQuerier) Len() int { return c.inner.Len() }
 func (c *CachedQuerier) Unwrap() Querier { return c.inner }
 
 // Invalidate makes every cached result stale in O(1) by bumping the
-// cache epoch; stale entries are collected lazily on lookup. Call it
+// cache epoch; stale entries are collected lazily, and an answer the
+// index was still computing when the epoch moved is not stored. Call it
 // whenever the underlying text changes (the live-ingest path). The
 // negative filter is dropped at the same time: it was built over the
 // old text, and a pattern occurring only in newly appended bytes
@@ -386,12 +484,13 @@ func (c *CachedQuerier) Invalidate() {
 }
 
 // CacheStats returns the decorator's counters; serving telemetry polls
-// this for the /stats and /metrics cache families.
+// this for the /metrics cache section and the spine_cache_* families.
 func (c *CachedQuerier) CacheStats() CacheStats {
 	cs := c.cache.Stats()
 	s := CacheStats{
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
+		ScanMisses:  c.scanMisses.Load(),
 		NegRejects:  c.negRejects.Load(),
 		NegFalsePos: c.negFalsePos.Load(),
 		Entries:     cs.Entries,

@@ -163,6 +163,7 @@ func TestCachedServing(t *testing.T) {
 			Enabled    bool  `json:"enabled"`
 			Hits       int64 `json:"hits"`
 			Misses     int64 `json:"misses"`
+			ScanMisses int64 `json:"scanMisses"`
 			NegRejects int64 `json:"negRejects"`
 			Entries    int64 `json:"entries"`
 			Bytes      int64 `json:"bytes"`
@@ -176,8 +177,8 @@ func TestCachedServing(t *testing.T) {
 	if !m.Cache.Enabled {
 		t.Fatalf("cache section disabled: %+v", m.Cache)
 	}
-	if m.Cache.Hits != 2 || m.Cache.Misses != 1 || m.Cache.NegRejects != 2 {
-		t.Fatalf("cache counters = %+v, want hits 2 misses 1 negRejects 2", m.Cache)
+	if m.Cache.Hits != 2 || m.Cache.Misses != 1 || m.Cache.ScanMisses != 1 || m.Cache.NegRejects != 2 {
+		t.Fatalf("cache counters = %+v, want hits 2 misses 1 scanMisses 1 negRejects 2", m.Cache)
 	}
 	if m.Cache.Entries == 0 || m.Cache.Bytes == 0 {
 		t.Fatalf("cache size counters degenerate: %+v", m.Cache)
@@ -193,6 +194,7 @@ func TestCachedServing(t *testing.T) {
 	for _, family := range []string{
 		"spine_cache_hits_total 2",
 		"spine_cache_misses_total 1",
+		"spine_cache_scan_misses_total 1",
 		"spine_negfilter_rejects_total 2",
 		"spine_negfilter_falsepos_total 0",
 		`spine_http_cache_hits_total{endpoint="findall"} 2`,
@@ -213,6 +215,7 @@ func TestPromCacheFamiliesAlwaysPresent(t *testing.T) {
 	for _, family := range []string{
 		"spine_cache_hits_total 0",
 		"spine_cache_misses_total 0",
+		"spine_cache_scan_misses_total 0",
 		"spine_negfilter_rejects_total 0",
 		"spine_negfilter_falsepos_total 0",
 	} {

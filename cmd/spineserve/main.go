@@ -33,11 +33,14 @@
 //	GET  /debug/dash                       RED rollups (1s/10s/1m rings), SLO burn rates, exporter health
 //	GET  /debug/vars, /debug/pprof/*       expvar + pprof
 //
-// The cache layer (-cache-bytes, 0 disables) serves repeated queries
-// without touching the index and invalidates by epoch; the negative
-// filter (-neg-filter) proves most absent patterns absent in O(|P|).
-// Hit/miss/reject rates surface as spine_cache_* and spine_negfilter_*
-// Prometheus families.
+// The cache layer (-cache-bytes, 0 disables) keeps one entry per
+// pattern — what the index has said about it so far — and answers any
+// kind of request the entry determines (a complete findall also answers
+// count, find and contains) without touching the index; under the byte
+// budget it drops descent answers before scan answers, and it
+// invalidates by epoch. The negative filter (-neg-filter) proves most
+// absent patterns absent in O(|P|). Hit/miss/scan-miss/reject rates
+// surface as spine_cache_* and spine_negfilter_* Prometheus families.
 //
 // Overload returns 429 with Retry-After; queries past -query-timeout
 // return 504 after aborting the index scan. Query requests carry a
@@ -91,7 +94,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "shard build workers, 0 = one per shard (sharded mode)")
 		addr       = flag.String("addr", ":8080", "listen address")
 
-		cacheBytes = flag.Int64("cache-bytes", 64<<20, "result cache byte budget; 0 disables the cache layer")
+		cacheBytes = flag.Int64("cache-bytes", 64<<20, "result cache byte budget; 0 disables the cache layer. An answer larger than one lock shard's slice of it (1/16, but at least 64 KiB) is not cached")
 		negFilter  = flag.Bool("neg-filter", true, "build a q-gram negative filter for O(|P|) absent-pattern answers (cache layer only)")
 
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-request index work deadline")
@@ -261,8 +264,8 @@ func serveUntilDone(ctx context.Context, srv *http.Server, ln net.Listener, drai
 	return nil
 }
 
-// wrapCache fronts the index with the serving cache layer: the sharded
-// result cache plus (optionally) the q-gram negative filter. cacheBytes
+// wrapCache fronts the index with the serving cache layer: the
+// per-pattern result cache plus (optionally) the q-gram negative filter. cacheBytes
 // <= 0 serves the raw index.
 func wrapCache(q spine.Querier, cacheBytes int64, negFilter bool) (spine.Querier, error) {
 	if cacheBytes <= 0 {

@@ -148,6 +148,7 @@ func newQueryServer(q spine.Querier, cfg serverConfig) *server {
 			return telemetry.CacheSnapshot{
 				Hits:           st.Hits,
 				Misses:         st.Misses,
+				ScanMisses:     st.ScanMisses,
 				NegRejects:     st.NegRejects,
 				NegFalsePos:    st.NegFalsePos,
 				Entries:        st.Entries,

@@ -87,13 +87,21 @@ func FuzzQueryBatch(f *testing.F) {
 // with the negative filter, and a Cached wrapper without it. All three
 // must agree on every semantic field — the negative filter may never
 // produce a false negative, and a warm cache entry must answer exactly
-// like the scan that primed it.
+// like the index would, whichever kind of request primed it: each
+// pattern is asked every kind, in an order the input rotates, and the
+// second round asks findall at a different limit than the first.
 //
 // `go test` runs the seed corpus; make check runs a 10s smoke.
 func FuzzCacheEquivalence(f *testing.F) {
 	f.Add([]byte("aaccacaacaggtacca"), []byte("ac\xffzzzz\xffac\xffcaacagg"), uint8(0))
 	f.Add([]byte("acgtacgtacgtacgt"), []byte("acgt\xffttttt\xffacgt"), uint8(2))
 	f.Add([]byte("aaaaaaaa"), []byte("\xffa\xffaaaaaaaaaaaaaaaaa"), uint8(1))
+	// One pattern asked repeatedly, kinds rotated (bits 3-4), limits at,
+	// below and above its four occurrences.
+	f.Add([]byte("acgtacgtacgtacgt"), []byte("acgt\xffacgt\xffcgta\xffacgt"), uint8(4+8))
+	f.Add([]byte("acgtacgtacgtacgt"), []byte("acgt\xffacgt\xffacgt"), uint8(3+16))
+	f.Add([]byte("acgtacgtacgtacgt"), []byte("gtac\xffgtac\xffgtacg\xffgtac"), uint8(5+24))
+	f.Add([]byte("aaccacaacaggtacca"), []byte("acca\xffzzzz\xffacca\xffzzzz"), uint8(2+8))
 	f.Fuzz(func(t *testing.T, rawText, rawPats []byte, rawLimit uint8) {
 		if len(rawText) == 0 || len(rawText) > 2000 || len(rawPats) > 512 {
 			return
@@ -125,9 +133,10 @@ func FuzzCacheEquivalence(f *testing.F) {
 		ctx := context.Background()
 		// Two rounds so the second answers from warm cache entries.
 		for round := 0; round < 2; round++ {
-			for _, p := range patterns {
-				for kind := KindContains; kind <= KindCount; kind++ {
-					opts := QueryOptions{Kind: kind, Limit: limit}
+			for i, p := range patterns {
+				for k := 0; k < 4; k++ {
+					kind := QueryKind((k + i + int(rawLimit>>3)) % 4)
+					opts := QueryOptions{Kind: kind, Limit: (limit + round*(i+1)) % 8}
 					want, werr := sh.Query(ctx, p, opts)
 					for name, q := range map[string]Querier{"negfilter": cached, "cacheonly": plain} {
 						got, gerr := q.Query(ctx, p, opts)

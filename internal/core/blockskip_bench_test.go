@@ -83,7 +83,7 @@ func BenchmarkOccurrenceScan(b *testing.B) {
 					occ = 0
 					for k := 0; k < spread; k++ {
 						off := k*stretch + stretch/2
-						n, err := count(ctx, text[off:off+plen])
+						n, _, err := count(ctx, text[off:off+plen])
 						if err != nil || n == 0 {
 							b.Fatalf("CountCtx(text[%d:%d]) = %d, %v", off, off+plen, n, err)
 						}

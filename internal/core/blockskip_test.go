@@ -160,7 +160,7 @@ func TestCountPrefixCtx(t *testing.T) {
 		p := text[5 : 5+plen]
 		all := idx.FindAll(p)
 		for _, maxStart := range []int{-1, 0, 1, 100, 299, 300, 301, len(text)} {
-			got, err := idx.CountPrefixCtx(ctx, p, maxStart)
+			got, _, err := idx.CountPrefixCtx(ctx, p, maxStart)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestCountPrefixCtx(t *testing.T) {
 			}
 		}
 	}
-	if got, err := idx.CountPrefixCtx(ctx, nil, 10); err != nil || got != 10 {
+	if got, _, err := idx.CountPrefixCtx(ctx, nil, 10); err != nil || got != 10 {
 		t.Fatalf("empty pattern bounded count = %d, %v; want 10", got, err)
 	}
 }

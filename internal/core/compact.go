@@ -613,7 +613,7 @@ func (c *CompactIndex) Count(p []byte) int {
 	if !ok {
 		return 0
 	}
-	n, _ := countOn(context.Background(), c, codes, -1)
+	n, _, _ := countOn(context.Background(), c, codes, -1)
 	patBufPool.Put(pb)
 	return n
 }

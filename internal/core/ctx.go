@@ -55,19 +55,20 @@ func findAllOnCtx[S store](ctx context.Context, s S, p []byte, limit int) (ScanR
 }
 
 // CountCtx is Count with cancellation. Like Count, it streams: the
-// occurrence set is never materialized.
-func (idx *Index) CountCtx(ctx context.Context, p []byte) (int, error) {
+// occurrence set is never materialized. nodes is ScanResult's
+// NodesChecked: what FindAllCtx reports for the same pattern unlimited.
+func (idx *Index) CountCtx(ctx context.Context, p []byte) (count int, nodes int64, err error) {
 	return countOn(ctx, idx, p, -1)
 }
 
 // CountCtx is the compact-layout variant; see Index.CountCtx.
-func (c *CompactIndex) CountCtx(ctx context.Context, p []byte) (int, error) {
+func (c *CompactIndex) CountCtx(ctx context.Context, p []byte) (count int, nodes int64, err error) {
 	codes, ok := c.encodePattern(p)
 	if !ok {
 		if tr := trace.FromContext(ctx); tr != nil {
 			tr.Add(trace.StageDescend, 0, trace.Counters{Nodes: int64(len(p))})
 		}
-		return 0, ctx.Err()
+		return 0, int64(len(p)), ctx.Err()
 	}
 	return countOn(ctx, c, codes, -1)
 }
@@ -76,7 +77,7 @@ func (c *CompactIndex) CountCtx(ctx context.Context, p []byte) (int, error) {
 // strictly below maxStart (maxStart < 0 means unbounded — plain
 // CountCtx). Sharded counting uses the bound to ignore overlap-region
 // starts without materializing or shipping positions.
-func (idx *Index) CountPrefixCtx(ctx context.Context, p []byte, maxStart int) (int, error) {
+func (idx *Index) CountPrefixCtx(ctx context.Context, p []byte, maxStart int) (count int, nodes int64, err error) {
 	return countOn(ctx, idx, p, maxStart)
 }
 

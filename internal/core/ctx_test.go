@@ -163,8 +163,12 @@ func TestScanManyCtxParity(t *testing.T) {
 
 func TestCountCtx(t *testing.T) {
 	idx := Build([]byte("abracadabra"))
-	n, err := idx.CountCtx(context.Background(), []byte("a"))
+	n, nodes, err := idx.CountCtx(context.Background(), []byte("a"))
 	if err != nil || n != idx.Count([]byte("a")) {
 		t.Fatalf("CountCtx = %d, %v; want %d", n, err, idx.Count([]byte("a")))
+	}
+	// A count visits what an unlimited findall visits.
+	if all, _ := idx.FindAllCtx(context.Background(), []byte("a"), 0); nodes != all.NodesChecked || nodes == 0 {
+		t.Fatalf("CountCtx nodes = %d, FindAllCtx NodesChecked = %d", nodes, all.NodesChecked)
 	}
 }

@@ -313,21 +313,24 @@ func findAllOn[S store](ctx context.Context, s S, p []byte, limit int, dst []int
 // it streams the occurrence count of p, keeping only the membership
 // set. Occurrences starting at or past maxStart still join the set
 // (later occurrences may link to them) but are not counted; maxStart < 0
-// counts everything.
-func countOn[S store](ctx context.Context, s S, p []byte, maxStart int) (int, error) {
+// counts everything. nodes is findAllOn's work metric: len(p) for the
+// descent plus the backbone nodes visited, so a count and an unlimited
+// findall of one pattern report the same work.
+func countOn[S store](ctx context.Context, s S, p []byte, maxStart int) (count int, nodes int64, err error) {
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if len(p) == 0 {
 		total := int(s.textLen()) + 1
 		if maxStart >= 0 && total > maxStart {
 			total = maxStart
 		}
-		return total, nil
+		return total, 0, nil
 	}
 	first, ok := descendOnCtx(ctx, s, p)
+	nodes = int64(len(p))
 	if !ok {
-		return 0, nil
+		return 0, nodes, nil
 	}
 	// The start-offset bound in end-node space:
 	// start = end - len(p) < maxStart  <=>  end < maxStart + len(p).
@@ -335,22 +338,22 @@ func countOn[S store](ctx context.Context, s S, p []byte, maxStart int) (int, er
 	if maxStart >= 0 {
 		endBound = maxStart + len(p)
 	}
-	count := 0
 	if int(first) < endBound {
 		count++
 	}
 	sc := getScratch(s.textLen())
-	_, _, err := occTracedOn(ctx, s, sc, first, int32(len(p)), func(j int32) bool {
+	st, _, err := occTracedOn(ctx, s, sc, first, int32(len(p)), func(j int32) bool {
 		if int(j) < endBound {
 			count++
 		}
 		return true
 	})
 	putScratch(sc)
+	nodes += st.visited
 	if err != nil {
-		return 0, err
+		return 0, nodes, err
 	}
-	return count, nil
+	return count, nodes, nil
 }
 
 // forEachOccurrenceOn streams every occurrence start offset of p to fn

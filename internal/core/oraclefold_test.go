@@ -63,7 +63,7 @@ func scanNodes(tr *trace.Trace) (nodes int64) {
 // forms) plus the raw end-node scan.
 type oracleVerbs struct {
 	findAllCtx      func(ctx context.Context, p []byte, limit int) (ScanResult, error)
-	countPrefixCtx  func(ctx context.Context, p []byte, maxStart int) (int, error)
+	countPrefixCtx  func(ctx context.Context, p []byte, maxStart int) (int, int64, error)
 	findAll         func(p []byte) []int
 	findAllAppend   func(p []byte, dst []int) []int
 	count           func(p []byte) int
@@ -97,7 +97,7 @@ func TestScalarOracleVerbsPinned(t *testing.T) {
 		}},
 		{"compact", oracleVerbs{
 			comp.FindAllCtx,
-			func(ctx context.Context, p []byte, maxStart int) (int, error) {
+			func(ctx context.Context, p []byte, maxStart int) (int, int64, error) {
 				codes, _ := comp.encodePattern(p)
 				return countOn(ctx, comp, codes, maxStart)
 			},
@@ -167,11 +167,14 @@ func oracleReport(t *testing.T, v oracleVerbs, p []byte) string {
 
 	for _, maxStart := range []int{-1, 20_000} {
 		tr = trace.New()
-		n, err := v.countPrefixCtx(trace.NewContext(bg, tr), p, maxStart)
+		n, nodes, err := v.countPrefixCtx(trace.NewContext(bg, tr), p, maxStart)
 		line("CountPrefixCtx maxStart=%d: %d scanNodes=%d err=%v", maxStart, n, scanNodes(tr), err)
+		if want := int64(len(p)) + scanNodes(tr); nodes != want {
+			t.Errorf("CountPrefixCtx maxStart=%d: nodes = %d, want descent + scan = %d", maxStart, nodes, want)
+		}
 	}
 	tr = trace.New()
-	n, err := v.countPrefixCtx(trace.NewContext(&stepCtx{bg, 2}, tr), p, -1)
+	n, _, err := v.countPrefixCtx(trace.NewContext(&stepCtx{bg, 2}, tr), p, -1)
 	line("CountPrefixCtx cancelled: %d scanNodes=%d canceled=%v", n, scanNodes(tr), errors.Is(err, context.Canceled))
 
 	line("FindAll: %s", digest(v.findAll(p)))

@@ -153,7 +153,7 @@ func FuzzScanEquivalence(f *testing.F) {
 				wantBounded++
 			}
 		}
-		if got, err := idx.CountPrefixCtx(ctx, pat, maxStart); err != nil || got != wantBounded {
+		if got, _, err := idx.CountPrefixCtx(ctx, pat, maxStart); err != nil || got != wantBounded {
 			t.Fatalf("CountPrefixCtx(%q, %d) = %d, %v; want %d", pat, maxStart, got, err, wantBounded)
 		}
 

@@ -145,7 +145,7 @@ func containsSorted(buf []int32, x int32) bool {
 // the streaming scan directly — no occurrence slice is materialized —
 // and allocates nothing at steady state.
 func (idx *Index) Count(p []byte) int {
-	n, _ := countOn(context.Background(), idx, p, -1)
+	n, _, _ := countOn(context.Background(), idx, p, -1)
 	return n
 }
 

@@ -422,16 +422,16 @@ func FuzzMappedEquivalence(f *testing.F) {
 			t.Fatalf("mapped (%v, %d nodes) != heap (%v, %d nodes)",
 				mres.Positions, mres.NodesChecked, hres.Positions, hres.NodesChecked)
 		}
-		hc, err := heap.CountCtx(ctx, pat)
+		hc, hn, err := heap.CountCtx(ctx, pat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc, err := mapped.CountCtx(ctx, pat)
+		mc, mn, err := mapped.CountCtx(ctx, pat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mc != hc || mc != len(oracle) {
-			t.Fatalf("Count(%q): mapped %d, heap %d, suffix tree %d", pat, mc, hc, len(oracle))
+		if mc != hc || mc != len(oracle) || mn != hn {
+			t.Fatalf("Count(%q): mapped %d (%d nodes), heap %d (%d nodes), suffix tree %d", pat, mc, mn, hc, hn, len(oracle))
 		}
 		if limit := int(limRaw) % 5; limit > 0 {
 			hl, err1 := heap.FindAllCtx(ctx, pat, limit)

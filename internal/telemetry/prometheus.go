@@ -223,6 +223,8 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	p.Sample("spine_cache_hits_total", nil, float64(s.Cache.Hits))
 	p.Family("spine_cache_misses_total", "counter", "Result-cache misses (query fell through to the index).")
 	p.Sample("spine_cache_misses_total", nil, float64(s.Cache.Misses))
+	p.Family("spine_cache_scan_misses_total", "counter", "Result-cache misses that ran a backbone occurrence scan (the rest are pattern descents).")
+	p.Sample("spine_cache_scan_misses_total", nil, float64(s.Cache.ScanMisses))
 	p.Family("spine_cache_entries", "gauge", "Live result-cache entries (may include stale entries pending lazy collection).")
 	p.Sample("spine_cache_entries", nil, float64(s.Cache.Entries))
 	p.Family("spine_cache_bytes", "gauge", "Estimated bytes charged against the result-cache budget.")

@@ -156,6 +156,10 @@ type CacheSnapshot struct {
 	Enabled bool  `json:"enabled"`
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
+	// ScanMisses counts the misses that ran a backbone scan (findall,
+	// count or batch item of a pattern that occurs) — milliseconds each,
+	// where the other misses are microsecond descents.
+	ScanMisses int64 `json:"scanMisses"`
 	// NegRejects counts queries answered by the q-gram negative filter
 	// (pattern definitely absent, zero index work); NegFalsePos counts
 	// filter passes the index then proved absent.

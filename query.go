@@ -93,7 +93,7 @@ func (o QueryOptions) effectiveLimit() int {
 type coreQuerier interface {
 	EndNodeCtx(ctx context.Context, p []byte) (int32, bool)
 	FindAllCtx(ctx context.Context, p []byte, limit int) (core.ScanResult, error)
-	CountCtx(ctx context.Context, p []byte) (int, error)
+	CountCtx(ctx context.Context, p []byte) (count int, nodes int64, err error)
 }
 
 // queryOn answers one Query against a single (unsharded) core index.
@@ -115,8 +115,8 @@ func queryOn(ctx context.Context, c coreQuerier, p []byte, opts QueryOptions) (Q
 		res.normalize()
 		return res, err
 	case KindCount:
-		n, err := c.CountCtx(ctx, p)
-		return QueryResult{Count: n, Found: n > 0, Position: -1}, err
+		n, nodes, err := c.CountCtx(ctx, p)
+		return QueryResult{Count: n, Found: n > 0, Position: -1, NodesChecked: nodes}, err
 	default:
 		return QueryResult{Position: -1}, fmt.Errorf("%w: %d", ErrBadQueryKind, opts.Kind)
 	}
@@ -154,11 +154,11 @@ func (s *Sharded) Query(ctx context.Context, p []byte, opts QueryOptions) (Query
 		res.normalize()
 		return res, nil
 	case KindCount:
-		n, err := s.count(ctx, p)
+		n, nodes, err := s.count(ctx, p)
 		if err != nil {
 			return QueryResult{Position: -1}, err
 		}
-		return QueryResult{Count: n, Found: n > 0, Position: -1}, nil
+		return QueryResult{Count: n, Found: n > 0, Position: -1, NodesChecked: nodes}, nil
 	default:
 		return QueryResult{Position: -1}, fmt.Errorf("%w: %d", ErrBadQueryKind, opts.Kind)
 	}

@@ -16,7 +16,9 @@ import (
 // reference, compact and mapped layouts under every scan configuration
 // ({block-skip, scalar oracle} x {SWAR, scalar kernel}), and the same
 // NodesChecked on every layout and kernel of one block-skip setting
-// (the oracle visits every node, so it differs from the skip scan's).
+// (the oracle visits every node, so it differs from the skip scan's) —
+// a count reporting what the unlimited findall of its pattern reports,
+// on the sharded layout too.
 func TestQueryScanLayoutsEquivalent(t *testing.T) {
 	data, err := seqgen.SuiteSequence("eco", 100)
 	if err != nil {
@@ -93,6 +95,25 @@ func TestQueryScanLayoutsEquivalent(t *testing.T) {
 					}
 				}
 			}
+		}
+		// A count streams the pass an unlimited findall stores: same work.
+		for pi, p := range pats {
+			c, f := nodes[caseKey{pi, 0, KindCount}], nodes[caseKey{pi, 0, KindFindAll}]
+			if c != f || c == 0 {
+				t.Fatalf("skip=%v %q: count NodesChecked %d, unlimited findall %d", skip, p, c, f)
+			}
+		}
+	}
+	// The sharded layout sums its shards' work, for both kinds alike.
+	sh, err := BuildSharded(data, 8192, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pats {
+		c, cerr := sh.Query(ctx, p, QueryOptions{Kind: KindCount})
+		f, ferr := sh.Query(ctx, p, QueryOptions{Kind: KindFindAll})
+		if cerr != nil || ferr != nil || c.NodesChecked != f.NodesChecked || c.NodesChecked == 0 || c.Count != f.Count {
+			t.Fatalf("sharded %q: count %+v (%v), findall count %d NodesChecked %d (%v)", p, c, cerr, f.Count, f.NodesChecked, ferr)
 		}
 	}
 }

@@ -414,10 +414,11 @@ func (s *Sharded) CountContext(ctx context.Context, p []byte) (int, error) {
 // that start in its own slice — overlap-region starts belong to the next
 // shard, so the per-shard counts sum to the exact global count with no
 // dedup merge. The scans stream: nothing per-occurrence is materialized.
+// nodes sums the shards' work, as findAllLimit's NodesChecked does.
 // The caller (Query) has already validated the pattern length.
-func (s *Sharded) count(ctx context.Context, p []byte) (int, error) {
+func (s *Sharded) count(ctx context.Context, p []byte) (total int, nodes int64, err error) {
 	if len(p) == 0 {
-		return s.textLen + 1, nil
+		return s.textLen + 1, 0, nil
 	}
 	tr := trace.FromContext(ctx)
 	qc := obs.FromContext(ctx)
@@ -426,6 +427,7 @@ func (s *Sharded) count(ctx context.Context, p []byte) (int, error) {
 		kids = make([]*trace.Trace, len(s.shards))
 	}
 	counts := make([]int, len(s.shards))
+	legNodes := make([]int64, len(s.shards))
 	errs := make([]error, len(s.shards))
 	last := len(s.shards) - 1
 	var wg sync.WaitGroup
@@ -445,27 +447,23 @@ func (s *Sharded) count(ctx context.Context, p []byte) (int, error) {
 				maxStart = -1 // no overlap region after the final shard
 			}
 			leg := qc.StartLeg(i)
-			counts[i], errs[i] = s.shards[i].countPrefixContext(sctx, p, maxStart)
+			counts[i], legNodes[i], errs[i] = s.shards[i].countPrefixContext(sctx, p, maxStart)
 			sp.End()
-			var nodes int64
-			if tr != nil {
-				nodes = kids[i].TotalNodes()
-			}
-			leg.End(nodes, counts[i], errs[i], legStages(kids, i))
+			leg.End(legNodes[i], counts[i], errs[i], legStages(kids, i))
 		}(i)
 	}
 	wg.Wait()
 	for i, kid := range kids {
 		tr.Adopt(kid, i)
 	}
-	total := 0
 	for i := range counts {
 		if errs[i] != nil {
-			return 0, errs[i]
+			return 0, 0, errs[i]
 		}
 		total += counts[i]
+		nodes += legNodes[i]
 	}
-	return total, nil
+	return total, nodes, nil
 }
 
 // legStages summarizes one shard goroutine's child trace for its

@@ -69,7 +69,7 @@ func (x *Index) Count(p []byte) int { return x.c.Count(p) }
 // maxStart (maxStart < 0 means unbounded). Sharded.CountContext uses it
 // to count each shard's own slice, excluding overlap-region starts that
 // belong to the next shard.
-func (x *Index) countPrefixContext(ctx context.Context, p []byte, maxStart int) (int, error) {
+func (x *Index) countPrefixContext(ctx context.Context, p []byte, maxStart int) (count int, nodes int64, err error) {
 	return x.c.CountPrefixCtx(ctx, p, maxStart)
 }
 
