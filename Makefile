@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race lint bench bench-smoke bench-scan serve fmt fuzz-smoke cover
+.PHONY: build test check vet race lint bench bench-smoke bench-scan bench-serve serve fmt fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,13 @@ bench-smoke:
 # measures (eco corpus, both layouts, |P| 8/12/32), five samples each.
 bench-scan:
 	$(GO) test -run '^$$' -bench OccurrenceScan -benchtime 20x -count 5 ./internal/core
+
+# bench-serve is the quick check for serving-path changes: one query
+# request (contains/find/count/findall) through the full middleware and
+# handler stack into an httptest recorder, with allocations per request.
+# The suite's `lookup` workload is the end-to-end number it predicts.
+bench-serve:
+	$(GO) test -run '^$$' -bench ServeQuery -benchmem -count 5 ./cmd/spineserve
 
 serve:
 	$(GO) run ./cmd/spineserve -synthetic eco -divide 10 -addr :8080

@@ -120,7 +120,9 @@ func main() {
 	)
 	flag.Parse()
 
-	logger, err := newLogger(*logFormat)
+	logOut := newLogWriter(os.Stderr, logFlushInterval)
+	defer logOut.Close()
+	logger, err := newLogger(*logFormat, logOut)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spineserve:", err)
 		os.Exit(1)
@@ -209,23 +211,26 @@ func main() {
 		logger.Error("spineserve: event exporter close", slog.Any("err", err))
 	}
 	if serveErr != nil {
-		logger.Error("spineserve: serve", slog.Any("err", serveErr))
+		logger.Error("spineserve: serve", slog.Any("err", serveErr)) // Error flushes the log
 		os.Exit(1)
 	}
 	logger.Info("spineserve: drained, bye")
 }
 
-// newLogger builds the process logger in the requested format; request
-// logs, panics and lifecycle messages all flow through it.
-func newLogger(format string) (*slog.Logger, error) {
+// newLogger builds the process logger in the requested format over the
+// buffered writer w; request logs, panics and lifecycle messages all
+// flow through it, and records at Warn or above flush w at once.
+func newLogger(format string, w *logWriter) (*slog.Logger, error) {
+	var h slog.Handler
 	switch format {
 	case "text", "":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
+		h = slog.NewTextHandler(w, nil)
 	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
+		h = slog.NewJSONHandler(w, nil)
 	default:
 		return nil, fmt.Errorf("unknown -log-format %q (text|json)", format)
 	}
+	return slog.New(&logHandler{Handler: h, w: w}), nil
 }
 
 // newHTTPServer hardens the listener: header/read/write/idle timeouts so

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"runtime/pprof"
@@ -12,11 +13,14 @@ import (
 	"github.com/spine-index/spine/internal/trace"
 )
 
-// statusRecorder captures the response status for logging and metrics.
+// statusRecorder is the middleware's per-request state: the response
+// writer the handler writes through (it captures status and byte count
+// for the log and metrics) and the endpoint's pprof label sets.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	labels *profLabels
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
@@ -35,6 +39,45 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// plenBuckets are the plen_bucket pprof label values, by the largest
+// pattern length each holds (the last is open-ended).
+var plenBuckets = [...]struct {
+	max  int
+	name string
+}{
+	{16, "0-16"},
+	{64, "17-64"},
+	{256, "65-256"},
+	{1024, "257-1024"},
+	{math.MaxInt, "1025+"},
+}
+
+// profLabels are one endpoint's pprof label sets as contexts, built once
+// when the route is registered, so that labelling a request's goroutine
+// allocates nothing: the endpoint alone, and the endpoint together with
+// each plen_bucket.
+type profLabels struct {
+	endpoint context.Context
+	plen     [len(plenBuckets)]context.Context
+}
+
+func newProfLabels(endpoint string) *profLabels {
+	pl := &profLabels{endpoint: pprof.WithLabels(context.Background(), pprof.Labels("endpoint", endpoint))}
+	for i, b := range plenBuckets {
+		pl.plen[i] = pprof.WithLabels(pl.endpoint, pprof.Labels("plen_bucket", b.name))
+	}
+	return pl
+}
+
+// forPattern returns the label set of a query with an n-byte pattern.
+func (pl *profLabels) forPattern(n int) context.Context {
+	i := 0
+	for n > plenBuckets[i].max {
+		i++
+	}
+	return pl.plen[i]
+}
+
 // instrument wraps a handler with the full middleware stack, outermost
 // first: panic recovery, request correlation (X-Request-Id and W3C
 // traceparent ingest/echo), metrics + structured logging, the
@@ -42,14 +85,18 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 // deadline, and — for sampled query requests — a per-query trace whose
 // spans feed the per-stage/per-shard registry series and the slow-query
 // log. Query endpoints additionally emit one wide event per request
-// (deferred, after the handler finishes annotating it). The handler
-// goroutine carries a pprof endpoint label so CPU profiles split by
-// route.
+// (deferred, after the handler finishes annotating it). The request's
+// goroutine carries the pprof endpoint label from start to finish
+// (handlers add plen_bucket once they have a pattern), so CPU profiles
+// split by route.
 func (s *server) instrument(name string, limited bool, h http.HandlerFunc) http.Handler {
 	ep := s.reg.Endpoint(name)
+	labels := newProfLabels(name)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sr := &statusRecorder{ResponseWriter: w}
+		base := r.Context()
+		pprof.SetGoroutineLabels(labels.endpoint)
+		sr := &statusRecorder{ResponseWriter: w, labels: labels}
 
 		// Correlation: adopt the client's X-Request-Id when it is sane,
 		// mint one otherwise, and echo it on every response (including
@@ -65,10 +112,10 @@ func (s *server) instrument(name string, limited bool, h http.HandlerFunc) http.
 		// echoes this server's own span so the caller can parent on it.
 		var qc *obs.QueryCtx
 		if limited {
-			incoming, _ := obs.ParseTraceParent(r.Header.Get("traceparent"))
+			incoming, _ := obs.ParseTraceParent(r.Header.Get("Traceparent"))
 			qc = obs.Begin(s.pipe, name, reqID, incoming)
 			if qc != nil {
-				sr.Header().Set("traceparent", qc.TraceParent().Header())
+				sr.Header().Set("Traceparent", qc.TraceParent().Header())
 			}
 		}
 
@@ -93,9 +140,10 @@ func (s *server) instrument(name string, limited bool, h http.HandlerFunc) http.
 			}
 			elapsed := time.Since(start)
 			ep.ObserveRequest(sr.status, elapsed)
-			s.observeTrace(tr, name, sr.status, start, elapsed)
-			qc.EmitQuery(sr.status, start, elapsed, trace.Summarize(tr.Records()))
-			s.cfg.logger.Info("request",
+			recs := tr.Records()
+			s.observeTrace(tr, recs, name, sr.status, start, elapsed)
+			qc.EmitQuery(sr.status, start, elapsed, recs)
+			s.cfg.logger.LogAttrs(context.Background(), slog.LevelInfo, "request",
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.String("endpoint", name),
@@ -103,6 +151,7 @@ func (s *server) instrument(name string, limited bool, h http.HandlerFunc) http.
 				slog.Int("status", sr.status),
 				slog.Int64("durUs", elapsed.Microseconds()),
 				slog.Int64("bytes", sr.bytes))
+			pprof.SetGoroutineLabels(base)
 		}()
 
 		if limited && s.sem != nil {
@@ -118,7 +167,7 @@ func (s *server) instrument(name string, limited bool, h http.HandlerFunc) http.
 			}
 		}
 
-		ctx := r.Context()
+		ctx := base
 		if limited && s.cfg.queryTimeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.queryTimeout)
@@ -133,23 +182,22 @@ func (s *server) instrument(name string, limited bool, h http.HandlerFunc) http.
 			tr.SetRequestID(reqID)
 			ctx = trace.NewContext(ctx, tr)
 		}
-		r = r.WithContext(ctx)
-		// pprof.Do restores the goroutine's labels on return, which also
-		// cleans up any labels handlers add (e.g. plen_bucket).
-		pprof.Do(ctx, pprof.Labels("endpoint", name), func(context.Context) {
-			h(sr, r)
-		})
+		if ctx != base {
+			r = r.WithContext(ctx)
+		}
+		h(sr, r)
 	})
 }
 
-// observeTrace folds a finished query's spans into the registry's
+// observeTrace folds a finished query's spans (recs, copied from tr
+// once and shared with the wide event) into the registry's
 // per-stage and per-shard series and, past the threshold, appends the
 // query to the slow log with its full breakdown.
-func (s *server) observeTrace(tr *trace.Trace, name string, status int, start time.Time, elapsed time.Duration) {
+func (s *server) observeTrace(tr *trace.Trace, recs []trace.Record, name string, status int, start time.Time, elapsed time.Duration) {
 	if tr == nil {
 		return
 	}
-	for _, rec := range tr.Records() {
+	for _, rec := range recs {
 		st := s.reg.Stage(rec.Stage)
 		st.Spans.Inc()
 		st.Nanos.Add(rec.Duration.Nanoseconds())

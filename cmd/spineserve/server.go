@@ -11,7 +11,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	runtimepprof "runtime/pprof"
 	"strconv"
 	"time"
@@ -315,11 +314,9 @@ func (s *server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	s.fail(w, r, statusFor(err), codeFor(err), err.Error())
 }
 
-// pattern extracts and validates the q parameter from the request's
-// parsed query string; handlers parse it once and read their own
-// parameters from the same values.
-func (s *server) pattern(w http.ResponseWriter, r *http.Request, query url.Values) ([]byte, bool) {
-	q := query.Get("q")
+// pattern extracts and validates the q parameter of the request.
+func (s *server) pattern(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	q := queryValue(r, "q")
 	if q == "" {
 		s.fail(w, r, http.StatusBadRequest, codeBadRequest, "missing q parameter")
 		return nil, false
@@ -333,16 +330,21 @@ func (s *server) pattern(w http.ResponseWriter, r *http.Request, query url.Value
 }
 
 // observePattern records the pattern length in the registry, stamps the
-// fingerprint on the query's trace (if sampled), and labels the handler
-// goroutine with a low-cardinality pattern-length bucket so CPU
-// profiles split by query size. The middleware's pprof.Do restores the
-// labels when the handler returns.
-func (s *server) observePattern(r *http.Request, p []byte) {
+// pattern's fingerprint (computed once) on the query's trace and wide
+// event, and adds a low-cardinality pattern-length bucket to the
+// goroutine's endpoint label so CPU profiles split by query size. The
+// middleware restores the labels when the request ends.
+func (s *server) observePattern(w http.ResponseWriter, r *http.Request, p []byte) {
 	s.reg.Query.PatternLen.Observe(int64(len(p)))
-	trace.FromContext(r.Context()).SetPattern(p)
-	obs.FromContext(r.Context()).SetPattern(trace.FingerprintOf(p))
-	runtimepprof.SetGoroutineLabels(runtimepprof.WithLabels(r.Context(),
-		runtimepprof.Labels("plen_bucket", plenBucket(len(p)))))
+	tr, qc := trace.FromContext(r.Context()), obs.FromContext(r.Context())
+	if tr != nil || qc != nil {
+		fp := trace.FingerprintOf(p)
+		tr.SetFingerprint(fp)
+		qc.SetPattern(fp)
+	}
+	if sr, ok := w.(*statusRecorder); ok {
+		runtimepprof.SetGoroutineLabels(sr.labels.forPattern(len(p)))
+	}
 }
 
 // observeSource attributes a result's provenance to the endpoint: a
@@ -376,28 +378,12 @@ func (s *server) observeResult(r *http.Request, name string, res spine.QueryResu
 	})
 }
 
-// plenBucket buckets a pattern length for pprof labels.
-func plenBucket(n int) string {
-	switch {
-	case n <= 16:
-		return "0-16"
-	case n <= 64:
-		return "17-64"
-	case n <= 256:
-		return "65-256"
-	case n <= 1024:
-		return "257-1024"
-	default:
-		return "1025+"
-	}
-}
-
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]any{"ok": true, "indexedChars": s.q.Len()})
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
+	if queryValue(r, "format") == "prom" {
 		w.Header().Set("Content-Type", telemetry.PromContentType)
 		if err := s.reg.WritePrometheus(w); err != nil {
 			s.cfg.logger.Error("metrics: prometheus write", slog.Any("err", err))
@@ -451,11 +437,11 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleContains(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.pattern(w, r, r.URL.Query())
+	p, ok := s.pattern(w, r)
 	if !ok {
 		return
 	}
-	s.observePattern(r, p)
+	s.observePattern(w, r, p)
 	obs.FromContext(r.Context()).SetQuery(spine.KindContains.String(), 0)
 	res, err := s.q.Query(r.Context(), p, spine.QueryOptions{Kind: spine.KindContains})
 	if err != nil {
@@ -468,15 +454,17 @@ func (s *server) handleContains(w http.ResponseWriter, r *http.Request) {
 	}
 	s.observeResult(r, "contains", res, found)
 	s.reg.Query.NodesChecked.Add(res.NodesChecked)
-	writeJSON(w, map[string]any{"contains": res.Found})
+	bd := newBody()
+	bd.b = appendContainsBody(bd.b, res.Found)
+	bd.send(w)
 }
 
 func (s *server) handleFind(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.pattern(w, r, r.URL.Query())
+	p, ok := s.pattern(w, r)
 	if !ok {
 		return
 	}
-	s.observePattern(r, p)
+	s.observePattern(w, r, p)
 	obs.FromContext(r.Context()).SetQuery(spine.KindFind.String(), 0)
 	res, err := s.q.Query(r.Context(), p, spine.QueryOptions{Kind: spine.KindFind})
 	if err != nil {
@@ -489,17 +477,18 @@ func (s *server) handleFind(w http.ResponseWriter, r *http.Request) {
 	}
 	s.observeResult(r, "find", res, found)
 	s.reg.Query.NodesChecked.Add(res.NodesChecked)
-	writeJSON(w, map[string]any{"position": res.Position})
+	bd := newBody()
+	bd.b = appendFindBody(bd.b, res.Position)
+	bd.send(w)
 }
 
 func (s *server) handleFindAll(w http.ResponseWriter, r *http.Request) {
-	query := r.URL.Query()
-	p, ok := s.pattern(w, r, query)
+	p, ok := s.pattern(w, r)
 	if !ok {
 		return
 	}
 	limit := s.cfg.findAllCap
-	if v := query.Get("limit"); v != "" {
+	if v := queryValue(r, "limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			s.fail(w, r, http.StatusBadRequest, codeBadRequest, "bad limit")
@@ -509,7 +498,7 @@ func (s *server) handleFindAll(w http.ResponseWriter, r *http.Request) {
 			limit = n
 		}
 	}
-	s.observePattern(r, p)
+	s.observePattern(w, r, p)
 	obs.FromContext(r.Context()).SetQuery(spine.KindFindAll.String(), limit)
 	res, err := s.q.Query(r.Context(), p, spine.QueryOptions{Kind: spine.KindFindAll, Limit: limit})
 	s.reg.Query.NodesChecked.Add(res.NodesChecked)
@@ -525,19 +514,17 @@ func (s *server) handleFindAll(w http.ResponseWriter, r *http.Request) {
 	if res.Truncated {
 		s.reg.Query.Truncated.Inc()
 	}
-	writeJSON(w, map[string]any{
-		"count":     len(res.Positions),
-		"positions": res.Positions,
-		"truncated": res.Truncated,
-	})
+	bd := newBody()
+	bd.b = appendFindAllBody(bd.b, res.Positions, res.Truncated)
+	bd.send(w)
 }
 
 func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.pattern(w, r, r.URL.Query())
+	p, ok := s.pattern(w, r)
 	if !ok {
 		return
 	}
-	s.observePattern(r, p)
+	s.observePattern(w, r, p)
 	obs.FromContext(r.Context()).SetQuery(spine.KindCount.String(), 0)
 	res, err := s.q.Query(r.Context(), p, spine.QueryOptions{Kind: spine.KindCount})
 	if err != nil {
@@ -547,7 +534,9 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	s.observeResult(r, "count", res, res.Count)
 	s.reg.Query.NodesChecked.Add(res.NodesChecked)
 	s.reg.Query.Occurrences.Add(int64(res.Count))
-	writeJSON(w, map[string]any{"count": res.Count})
+	bd := newBody()
+	bd.b = appendCountBody(bd.b, res.Count)
+	bd.send(w)
 }
 
 func (s *server) handleApprox(w http.ResponseWriter, r *http.Request) {
@@ -557,13 +546,12 @@ func (s *server) handleApprox(w http.ResponseWriter, r *http.Request) {
 			"approximate search is not supported by this index type")
 		return
 	}
-	query := r.URL.Query()
-	p, ok := s.pattern(w, r, query)
+	p, ok := s.pattern(w, r)
 	if !ok {
 		return
 	}
 	k := 1
-	if v := query.Get("k"); v != "" {
+	if v := queryValue(r, "k"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 || n > 3 {
 			s.fail(w, r, http.StatusBadRequest, codeBadRequest, "bad k (0..3)")
@@ -572,7 +560,7 @@ func (s *server) handleApprox(w http.ResponseWriter, r *http.Request) {
 		k = n
 	}
 	model := spine.Hamming
-	switch query.Get("model") {
+	switch queryValue(r, "model") {
 	case "", "hamming":
 	case "edit":
 		model = spine.Edit
@@ -580,7 +568,7 @@ func (s *server) handleApprox(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, codeBadRequest, "bad model (hamming|edit)")
 		return
 	}
-	s.observePattern(r, p)
+	s.observePattern(w, r, p)
 	obs.FromContext(r.Context()).SetQuery("approx", k)
 	positions := ap.FindAllWithin(p, k, model)
 	s.reg.Query.Occurrences.Add(int64(len(positions)))
@@ -596,7 +584,7 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	minLen := 20
-	if v := r.URL.Query().Get("minlen"); v != "" {
+	if v := queryValue(r, "minlen"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			s.fail(w, r, http.StatusBadRequest, codeBadRequest, "bad minlen")
@@ -618,7 +606,7 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, codeBadRequest, "empty query sequence")
 		return
 	}
-	s.observePattern(r, body)
+	s.observePattern(w, r, body)
 	obs.FromContext(r.Context()).SetQuery("match", minLen)
 	matches, info, err := mt.MaximalMatchesContext(r.Context(), body, minLen)
 	if err != nil {
@@ -732,8 +720,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.reg.Batch.Deduped.Add(int64(len(req.Patterns) - len(unique)))
 	trace.FromContext(r.Context()).SetPattern(bytes.Join(pats, []byte{0x1f}))
 
+	// The engine's descent workers relabel themselves with pprof.Do on
+	// this context, which keeps only the labels the context carries; the
+	// endpoint label rides along so their CPU stays attributed to it.
+	ctx := runtimepprof.WithLabels(r.Context(), runtimepprof.Labels("endpoint", "batch"))
 	engineStart := time.Now()
-	results, err := s.q.QueryBatch(r.Context(), pats, spine.BatchOptions{Limit: limit})
+	results, err := s.q.QueryBatch(ctx, pats, spine.BatchOptions{Limit: limit})
 	engineElapsed := time.Since(engineStart)
 	if err != nil {
 		s.writeError(w, r, err)

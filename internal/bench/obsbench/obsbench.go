@@ -160,7 +160,7 @@ func RunObsBench(c *bench.Corpus, cfg ObsBenchConfig) (bench.Table, ObsBenchRepo
 
 // runObsArm issues n traced findall queries, emitting one wide event per
 // query when pipe is non-nil (exactly the serving path's sequence:
-// Begin, annotate, EmitQuery with the stage summary), and returns exact
+// Begin, annotate, EmitQuery with the trace records), and returns exact
 // latency stats.
 func runObsArm(idx *spine.Index, patterns [][]byte, n, limit int, pipe *obs.Pipeline) ObsArmStats {
 	durs := make([]time.Duration, 0, n)
@@ -183,7 +183,7 @@ func runObsArm(idx *spine.Index, patterns [][]byte, n, limit int, pipe *obs.Pipe
 			})
 		}
 		elapsed := time.Since(t0)
-		qc.EmitQuery(200, t0, elapsed, trace.Summarize(tr.Records()))
+		qc.EmitQuery(200, t0, elapsed, tr.Records())
 		durs = append(durs, time.Since(t0))
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })

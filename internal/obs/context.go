@@ -80,6 +80,12 @@ func (qc *QueryCtx) RequestID() string {
 	return qc.requestID
 }
 
+// Exporting reports whether the request's events reach a sink (see
+// Pipeline.Exporting); false on nil.
+func (qc *QueryCtx) Exporting() bool {
+	return qc != nil && qc.pipe.Exporting()
+}
+
 // TraceParent returns the request's own trace identity — what the
 // server echoes back to the client and what child spans parent on.
 func (qc *QueryCtx) TraceParent() TraceParent {
@@ -133,34 +139,49 @@ func (qc *QueryCtx) SuppressQueryEvent() {
 }
 
 // EmitQuery builds and emits the request's wide event from the
-// accumulated annotations. The middleware calls it once per completed
-// query request; suppressed (batch) requests no-op.
-func (qc *QueryCtx) EmitQuery(status int, start time.Time, elapsed time.Duration, stages []trace.StageSummary) {
+// accumulated annotations and the query's trace records (nil when the
+// query was not traced). The middleware calls it once per completed
+// query request; suppressed (batch) requests no-op. The W3C ids and the
+// stage breakdown are filled in only when the event will be exported.
+func (qc *QueryCtx) EmitQuery(status int, start time.Time, elapsed time.Duration, recs []trace.Record) {
 	if qc == nil || qc.suppress {
 		return
 	}
-	qc.pipe.Emit(Event{
-		Time:         start,
-		Type:         EventQuery,
-		RequestID:    qc.requestID,
-		TraceID:      qc.tp.TraceID.String(),
-		SpanID:       qc.tp.SpanID.String(),
-		ParentSpanID: spanOrEmpty(qc.parentSpan),
-		Endpoint:     qc.endpoint,
-		Kind:         qc.kind,
-		Limit:        qc.limit,
-		Shard:        -1,
-		BatchIndex:   -1,
-		Pattern:      qc.pattern,
-		Source:       qc.outcome.Source,
-		Status:       status,
-		Error:        qc.errCode,
-		DurationUs:   elapsed.Microseconds(),
-		NodesChecked: qc.outcome.NodesChecked,
-		ResultCount:  qc.outcome.ResultCount,
-		Truncated:    qc.outcome.Truncated,
-		Stages:       stages,
-	})
+	e := qc.event(EventQuery, qc.tp.SpanID, qc.parentSpan)
+	e.Time = start
+	e.Kind = qc.kind
+	e.Limit = qc.limit
+	e.Pattern = qc.pattern
+	e.Source = qc.outcome.Source
+	e.Status = status
+	e.Error = qc.errCode
+	e.DurationUs = elapsed.Microseconds()
+	e.NodesChecked = qc.outcome.NodesChecked
+	e.ResultCount = qc.outcome.ResultCount
+	e.Truncated = qc.outcome.Truncated
+	if qc.pipe.Exporting() {
+		e.Stages = trace.Summarize(recs)
+	}
+	qc.pipe.Emit(e)
+}
+
+// event starts an event of type typ in qc's request: its identity, with
+// span and parent as the event's own and parent span. The W3C ids are
+// formatted only when the pipeline exports; nothing else reads them.
+func (qc *QueryCtx) event(typ string, span, parent SpanID) Event {
+	e := Event{
+		Type:       typ,
+		RequestID:  qc.requestID,
+		Endpoint:   qc.endpoint,
+		Shard:      -1,
+		BatchIndex: -1,
+	}
+	if qc.pipe.Exporting() {
+		e.TraceID = qc.tp.TraceID.String()
+		e.SpanID = span.String()
+		e.ParentSpanID = spanOrEmpty(parent)
+	}
+	return e
 }
 
 // EmitBatchItem emits one batch item's event as a child span of the
@@ -170,26 +191,19 @@ func (qc *QueryCtx) EmitBatchItem(index int, pattern trace.Fingerprint, limit in
 	if qc == nil {
 		return
 	}
-	qc.pipe.Emit(Event{
-		Time:         time.Now(),
-		Type:         EventBatchItem,
-		RequestID:    qc.requestID,
-		TraceID:      qc.tp.TraceID.String(),
-		SpanID:       NewSpanID().String(),
-		ParentSpanID: qc.tp.SpanID.String(),
-		Endpoint:     qc.endpoint,
-		Kind:         "findall",
-		Limit:        limit,
-		Shard:        -1,
-		BatchIndex:   index,
-		Pattern:      pattern,
-		Source:       out.Source,
-		Error:        errCode,
-		DurationUs:   durUs,
-		NodesChecked: out.NodesChecked,
-		ResultCount:  out.ResultCount,
-		Truncated:    out.Truncated,
-	})
+	e := qc.event(EventBatchItem, NewSpanID(), qc.tp.SpanID)
+	e.Time = time.Now()
+	e.Kind = "findall"
+	e.Limit = limit
+	e.BatchIndex = index
+	e.Pattern = pattern
+	e.Source = out.Source
+	e.Error = errCode
+	e.DurationUs = durUs
+	e.NodesChecked = out.NodesChecked
+	e.ResultCount = out.ResultCount
+	e.Truncated = out.Truncated
+	qc.pipe.Emit(e)
 }
 
 // Leg is one shard's in-progress share of a fan-out. Its span id is the
@@ -227,24 +241,17 @@ func (l *Leg) End(nodes int64, resultCount int, err error, stages []trace.StageS
 		return
 	}
 	qc := l.qc
-	qc.pipe.Emit(Event{
-		Time:         l.start,
-		Type:         EventShardLeg,
-		RequestID:    qc.requestID,
-		TraceID:      qc.tp.TraceID.String(),
-		SpanID:       l.span.String(),
-		ParentSpanID: qc.tp.SpanID.String(),
-		Endpoint:     qc.endpoint,
-		Kind:         qc.kind,
-		Shard:        l.shard,
-		BatchIndex:   -1,
-		Pattern:      qc.pattern,
-		Error:        errSlug(err),
-		DurationUs:   time.Since(l.start).Microseconds(),
-		NodesChecked: nodes,
-		ResultCount:  resultCount,
-		Stages:       stages,
-	})
+	e := qc.event(EventShardLeg, l.span, qc.tp.SpanID)
+	e.Time = l.start
+	e.Kind = qc.kind
+	e.Shard = l.shard
+	e.Pattern = qc.pattern
+	e.Error = errSlug(err)
+	e.DurationUs = time.Since(l.start).Microseconds()
+	e.NodesChecked = nodes
+	e.ResultCount = resultCount
+	e.Stages = stages
+	qc.pipe.Emit(e)
 }
 
 func spanOrEmpty(s SpanID) string {

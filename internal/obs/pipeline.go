@@ -73,26 +73,41 @@ type Pipeline struct {
 	exportErrors atomic.Int64
 }
 
-// NewPipeline starts a pipeline exporting to sinks (zero sinks is fine:
-// the pipeline still feeds the RED rollup and counts events).
+// NewPipeline starts a pipeline exporting to sinks. Zero sinks is fine:
+// the pipeline still feeds the RED rollup and counts events, but it has
+// no queue and no export goroutine, and Flush and Close return at once.
 func NewPipeline(cfg Config, sinks ...Sink) *Pipeline {
 	cfg = cfg.withDefaults()
 	p := &Pipeline{
-		cfg:    cfg,
-		sinks:  sinks,
-		red:    cfg.RED,
-		ch:     make(chan Event, cfg.Buffer),
-		flushc: make(chan chan struct{}),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:   cfg,
+		sinks: sinks,
+		red:   cfg.RED,
+		done:  make(chan struct{}),
 	}
+	if len(sinks) == 0 {
+		close(p.done)
+		return p
+	}
+	p.ch = make(chan Event, cfg.Buffer)
+	p.flushc = make(chan chan struct{})
+	p.quit = make(chan struct{})
 	go p.run()
 	return p
 }
 
+// Exporting reports whether emitted events reach a sink. Without one,
+// an event's only readers are the counters and the RED rollup, which
+// use neither its W3C ids nor its stage breakdown, so emitters may
+// leave those out. Nil-safe.
+func (p *Pipeline) Exporting() bool {
+	return p != nil && len(p.sinks) > 0
+}
+
 // Emit records one event: the RED rollup updates synchronously, then
 // the event is enqueued for export without blocking — a full queue
-// increments the dropped counter instead. Nil-safe.
+// increments the dropped counter instead. With no sinks there is
+// nothing to export to: the event counts as exported on the spot and
+// never touches a queue. Nil-safe.
 func (p *Pipeline) Emit(e Event) {
 	if p == nil {
 		return
@@ -110,6 +125,10 @@ func (p *Pipeline) Emit(e Event) {
 		// folding them in would multiply the request rate by the shard
 		// count.
 		p.red.Observe(e)
+	}
+	if len(p.sinks) == 0 {
+		p.exported.Add(1)
+		return
 	}
 	select {
 	case p.ch <- e:
@@ -182,7 +201,7 @@ func (p *Pipeline) export(batch []Event) []Event {
 // (control path, not query path) until the worker acknowledges or ctx
 // ends.
 func (p *Pipeline) Flush(ctx context.Context) error {
-	if p == nil {
+	if !p.Exporting() {
 		return nil
 	}
 	ack := make(chan struct{})
@@ -202,8 +221,8 @@ func (p *Pipeline) Flush(ctx context.Context) error {
 }
 
 // Close drains the queue, exports the final batch, closes the sinks and
-// stops the worker. Emit after Close still counts (and drops once the
-// queue fills) but exports nothing.
+// stops the worker. Emit after Close still counts (and, with sinks,
+// drops once the queue fills) but exports nothing.
 func (p *Pipeline) Close(ctx context.Context) error {
 	if p == nil {
 		return nil

@@ -112,6 +112,52 @@ func TestPipelineFeedsRED(t *testing.T) {
 	}
 }
 
+// TestPipelineREDCountsDroppedEvents: with a sink stuck and a 1-slot
+// queue most events are dropped from export, yet the RED rollup has
+// counted every query event emitted.
+func TestPipelineREDCountsDroppedEvents(t *testing.T) {
+	red := NewRED(time.Millisecond)
+	sink := NewBlockingSink()
+	p := NewPipeline(Config{Buffer: 1, BatchSize: 1, RED: red}, sink)
+	defer func() {
+		sink.Release()
+		p.Close(context.Background())
+	}()
+	const n = 50
+	for i := 0; i < n; i++ {
+		p.Emit(Event{Type: EventQuery, Endpoint: "contains", Kind: "contains", DurationUs: 5})
+	}
+	st := p.Stats()
+	if st.EmittedQuery != n || st.Dropped == 0 {
+		t.Fatalf("emitted %d dropped %d, want %d emitted and some dropped", st.EmittedQuery, st.Dropped, n)
+	}
+	if w := red.Window("", "", time.Minute); w.Count != n {
+		t.Fatalf("RED count %d with %d dropped, want all %d", w.Count, st.Dropped, n)
+	}
+}
+
+// TestZeroSinkPipelineIdle: without sinks there is no export queue, so
+// -obs-buffer reserves nothing, and Flush and Close return at once.
+func TestZeroSinkPipelineIdle(t *testing.T) {
+	p := NewPipeline(Config{Buffer: 1 << 20})
+	if p.ch != nil {
+		t.Fatal("a zero-sink pipeline allocated an export queue")
+	}
+	p.Emit(testEvent(EventQuery))
+	if err := p.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Exported != 1 || st.Dropped != 0 || st.QueueDepth != 0 {
+		t.Fatalf("stats %+v, want 1 exported, 0 dropped, empty queue", st)
+	}
+}
+
 func TestNilPipelineSafe(t *testing.T) {
 	var p *Pipeline
 	p.Emit(testEvent(EventQuery))

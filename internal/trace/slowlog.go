@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"fmt"
-	"hash/fnv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode"
 )
 
 // Sampler decides per-query whether to allocate a full trace: 1-in-N
@@ -43,27 +41,36 @@ type Fingerprint struct {
 // fingerprintPrefixLen bounds the stored pattern prefix.
 const fingerprintPrefixLen = 32
 
-// FingerprintOf fingerprints p.
+// FingerprintOf fingerprints p in one allocation: the hash's 16 hex
+// digits and the sanitized prefix share one string.
 func FingerprintOf(p []byte) Fingerprint {
-	h := fnv.New64a()
-	h.Write(p)
-	n := len(p)
-	if n > fingerprintPrefixLen {
-		n = fingerprintPrefixLen
+	h := uint64(fnvOffset64)
+	for _, c := range p {
+		h ^= uint64(c)
+		h *= fnvPrime64
 	}
-	prefix := make([]byte, 0, n)
+	n := min(len(p), fingerprintPrefixLen)
+	var b strings.Builder
+	b.Grow(16 + n)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b.WriteByte(hexDigits[h>>uint(shift)&0xf])
+	}
 	for _, c := range p[:n] {
-		if c > unicode.MaxASCII || !unicode.IsPrint(rune(c)) {
+		if c < ' ' || c > '~' { // not printable ASCII
 			c = '.'
 		}
-		prefix = append(prefix, c)
+		b.WriteByte(c)
 	}
-	return Fingerprint{
-		Hash:   fmt.Sprintf("%016x", h.Sum64()),
-		Len:    len(p),
-		Prefix: string(prefix),
-	}
+	s := b.String()
+	return Fingerprint{Hash: s[:16], Len: len(p), Prefix: s[16:]}
 }
+
+// FNV-1a, 64-bit (hash/fnv's New64a without the hasher allocation).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+	hexDigits   = "0123456789abcdef"
+)
 
 // Entry is one slow query, with the per-stage breakdown that tells
 // backbone descent apart from rib/extrib chain walks, occurrence

@@ -153,6 +153,9 @@ type Record struct {
 type Trace struct {
 	mu   sync.Mutex
 	recs []Record
+	// inline backs recs for the first few spans, so a trace is one
+	// allocation for a typical unsharded query.
+	inline [8]Record
 
 	// Query identity and outcome, set by the serving layer for slow-query
 	// forensics.
@@ -167,7 +170,9 @@ type Trace struct {
 
 // New returns an empty trace.
 func New() *Trace {
-	return &Trace{recs: make([]Record, 0, 8)}
+	t := &Trace{}
+	t.recs = t.inline[:0]
+	return t
 }
 
 type ctxKey struct{}
@@ -298,7 +303,15 @@ func (t *Trace) SetPattern(p []byte) {
 	if t == nil {
 		return
 	}
-	fp := FingerprintOf(p)
+	t.SetFingerprint(FingerprintOf(p))
+}
+
+// SetFingerprint stamps an already computed pattern fingerprint, for
+// callers that share one fingerprint with the wide event.
+func (t *Trace) SetFingerprint(fp Fingerprint) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	t.pattern = fp
 	t.mu.Unlock()
@@ -351,20 +364,21 @@ type StageSummary struct {
 }
 
 // Summarize aggregates records by (stage, shard), preserving first-seen
-// order.
+// order. A trace holds a handful of (stage, shard) groups, so each
+// record finds its group by a scan from the most recent one instead of
+// through a map.
 func Summarize(recs []Record) []StageSummary {
-	type key struct {
-		stage string
-		shard int
+	if len(recs) == 0 {
+		return nil
 	}
-	idx := make(map[key]int, len(recs))
-	var out []StageSummary
+	out := make([]StageSummary, 0, min(len(recs), len(AllStages)))
 	for _, r := range recs {
-		k := key{r.Stage, r.Shard}
-		i, ok := idx[k]
-		if !ok {
+		i := len(out) - 1
+		for i >= 0 && (out[i].Stage != r.Stage || out[i].Shard != r.Shard) {
+			i--
+		}
+		if i < 0 {
 			i = len(out)
-			idx[k] = i
 			out = append(out, StageSummary{Stage: r.Stage, Shard: r.Shard})
 		}
 		out[i].Spans++

@@ -224,7 +224,7 @@ func (s *Sharded) findAllLimit(ctx context.Context, p []byte, limit int) (QueryR
 			leg := qc.StartLeg(i)
 			raw, err := s.shards[i].FindAllLimitContext(sctx, p, shardLimit)
 			sp.End()
-			leg.End(raw.NodesChecked, len(raw.Positions), err, legStages(kids, i))
+			leg.End(raw.NodesChecked, len(raw.Positions), err, legStages(qc, kids, i))
 			if err != nil {
 				errs[i] = err
 				return
@@ -341,7 +341,7 @@ func (s *Sharded) QueryBatch(ctx context.Context, patterns [][]byte, opts BatchO
 					nodes += r.NodesChecked
 					hits += len(r.Positions)
 				}
-				leg.End(nodes, hits, err, legStages(kids, si))
+				leg.End(nodes, hits, err, legStages(qc, kids, si))
 				if err != nil {
 					errs[si] = err
 					return
@@ -449,7 +449,7 @@ func (s *Sharded) count(ctx context.Context, p []byte) (total int, nodes int64, 
 			leg := qc.StartLeg(i)
 			counts[i], legNodes[i], errs[i] = s.shards[i].countPrefixContext(sctx, p, maxStart)
 			sp.End()
-			leg.End(legNodes[i], counts[i], errs[i], legStages(kids, i))
+			leg.End(legNodes[i], counts[i], errs[i], legStages(qc, kids, i))
 		}(i)
 	}
 	wg.Wait()
@@ -470,8 +470,9 @@ func (s *Sharded) count(ctx context.Context, p []byte) (total int, nodes int64, 
 // shard-leg wide event. It runs before the post-barrier Adopt (Records
 // copies under the child's lock), so the leg event carries the stage
 // breakdown even though the records move to the parent afterwards.
-func legStages(kids []*trace.Trace, i int) []trace.StageSummary {
-	if kids == nil || kids[i] == nil {
+// Events no sink reads get no breakdown.
+func legStages(qc *obs.QueryCtx, kids []*trace.Trace, i int) []trace.StageSummary {
+	if kids == nil || kids[i] == nil || !qc.Exporting() {
 		return nil
 	}
 	return trace.Summarize(kids[i].Records())
